@@ -14,6 +14,8 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .groups import (
     AbelianGroup,
     ConnectionSet,
@@ -25,7 +27,13 @@ from .groups import (
     power_class_key,
 )
 from .jsonio import dumps
-from .pst import CrossValidationError, Verdict, characterize_pst, enumerate_pst_sets
+from .pst import (
+    CROSS_VALIDATE_MAX_ORDER,
+    CrossValidationError,
+    Verdict,
+    characterize_pst,
+    enumerate_pst_sets,
+)
 from .spectra import NonIntegralSpectrumError, integral_spectrum
 from .walk import (
     AmbiguousTransferError,
@@ -74,9 +82,13 @@ def _load_connection_set(group: AbelianGroup, text: str) -> ConnectionSet:
                 "connection-set file must hold a JSON array of coordinate tuples "
                 '(or an object with a "set" key)'
             )
-        elements = [
-            group.element(entry if isinstance(entry, list) else [entry]) for entry in payload
-        ]
+        elements = []
+        for entry in payload:
+            coords = entry if isinstance(entry, list) else [entry]
+            # bool is an int subclass, and int() would truncate floats silently
+            if not all(type(c) is int for c in coords):
+                raise ValueError(f"coordinates must be integers, got {json.dumps(entry)}")
+            elements.append(group.element(coords))
         return ConnectionSet.from_elements(group, elements)
     return parse_connection_set(group, text)
 
@@ -167,7 +179,7 @@ def _cmd_enumerate(args) -> int:
     group = parse_group(args.group)
     cross = args.cross_validate
     if cross is None:
-        cross = group.order <= 128
+        cross = group.order <= CROSS_VALIDATE_MAX_ORDER
     sets = enumerate_pst_sets(group, cross, detect_tol=args.tol)
     entries = [
         {
@@ -207,9 +219,17 @@ def _cmd_classes(args) -> int:
 
 
 def _edges(group: AbelianGroup, cset: ConnectionSet) -> list[tuple[int, int]]:
-    adjacency = adjacency_matrix(group, cset)
-    order = group.order
-    return [(g, h) for g in range(order) for h in range(g + 1, order) if adjacency[g, h]]
+    """Pairs g < h of canonical vertex indices with h - g in C, sorted; O(|G| * |C|)."""
+    grid = np.indices(group.factors).reshape(group.rank, group.order)
+    steps = np.array([c.coords for c in cset], dtype=np.intp).reshape(len(cset), group.rank)
+    neighbours = np.ravel_multi_index(
+        tuple(grid[i][:, None] + steps[:, i] for i in range(group.rank)),
+        group.factors,
+        mode="wrap",
+    )
+    neighbours.sort(axis=1)
+    sources, slots = np.nonzero(neighbours > np.arange(group.order)[:, None])
+    return list(zip(sources.tolist(), neighbours[sources, slots].tolist()))
 
 
 def _cmd_export(args) -> int:

@@ -4,6 +4,12 @@ Every character is simultaneously an eigenvector of every Cayley graph of its
 group; the eigenvalue attached to a connection set is the character sum over
 that set.  The sums are evaluated in double precision and snapped to integers
 within a tolerance, which succeeds exactly when the set is power-closed.
+
+Over the factor shape, the vector of all character sums is one
+multidimensional DFT.  Up to TABLE_MAX_ORDER vertices the sums come from the
+cached dense character table (a matvec beats an FFT call there); above it
+they come from numpy's FFT over `group.factors`, in O(|G| log |G|) time and
+O(|G|) memory, and no table is built.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ from .groups import (
 )
 
 INTEGRALITY_TOL = 1e-7
+# Largest order whose character sums use the dense table; larger groups use
+# the FFT.  The two cost the same near 256 vertices.
+TABLE_MAX_ORDER = 256
 
 
 class NonIntegralSpectrumError(Exception):
@@ -108,7 +117,9 @@ def character_table(group: AbelianGroup) -> np.ndarray:
     """Full |G| x |G| character table; rows are characters, columns elements.
 
     Both axes follow the canonical element order, so table[j] @ indicator(C)
-    is the eigenvalue vector of X(G, C).  The table is symmetric.
+    is the eigenvalue vector of X(G, C).  The table is symmetric.  It backs
+    the character sums of groups of at most TABLE_MAX_ORDER vertices and is
+    the reference the FFT route is tested against.
     """
     table = np.ones((1, 1), dtype=np.complex128)
     for n in group.factors:
@@ -116,6 +127,25 @@ def character_table(group: AbelianGroup) -> np.ndarray:
         table = np.kron(table, np.exp(2j * np.pi * grid / n))
     table.setflags(write=False)
     return table
+
+
+def _character_transform(
+    group: AbelianGroup, values: np.ndarray, inverse: bool = False
+) -> np.ndarray:
+    """Character sums of a vector over the group, in canonical order.
+
+    Forward: entry j is sum over g of chi_j(g) * values[g], i.e. table @ values,
+    which maps the indicator of C to the eigenvalues.  Inverse: entry g is
+    sum over j of values[j] * chi_j(g) / |G|, i.e. values @ table / |G|, which
+    maps eigenvalue phases to the identity row of the walk.  Above
+    TABLE_MAX_ORDER both are numpy's ifftn over the factor shape, whose sign
+    exp(+2*pi*i j.g/n) is the table's; the norm moves the 1/|G|.
+    """
+    if group.order <= TABLE_MAX_ORDER:
+        table = character_table(group)
+        return (values @ table) / group.order if inverse else table @ values
+    norm = "backward" if inverse else "forward"
+    return np.fft.ifftn(np.reshape(values, group.factors), norm=norm).ravel()
 
 
 def _indicator(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray:
@@ -172,14 +202,13 @@ def integral_spectrum(
     canonical order, when some sum is farther than `tol` from an integer
     (equivalently, when the set is not power-closed).
     """
-    values = character_table(group) @ _indicator(group, connection_set)
-    by_character: dict[CharacterIndex, int] = {}
-    for index, value in zip(_character_indices(group), values):
-        nearest = round(value.real)
-        if abs(value.imag) > tol or abs(value.real - nearest) > tol:
-            raise NonIntegralSpectrumError(index, complex(value))
-        by_character[index] = int(nearest)
-    return Spectrum(by_character)
+    values = _character_transform(group, _indicator(group, connection_set))
+    nearest = np.rint(values.real)
+    off = (np.abs(values.imag) > tol) | (np.abs(values.real - nearest) > tol)
+    if off.any():
+        first = int(np.argmax(off))
+        raise NonIntegralSpectrumError(_character_indices(group)[first], complex(values[first]))
+    return Spectrum(dict(zip(_character_indices(group), nearest.astype(np.int64).tolist())))
 
 
 def delta(spectrum: Spectrum) -> int | None:

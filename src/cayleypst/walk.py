@@ -21,7 +21,8 @@ from .groups import (
     _canonical_elements,
     _require_bound,
 )
-from .spectra import _indicator, character_table
+from .spectra import _character_transform, _indicator
+from .spectra import character_table  # noqa: F401  (perfbench/tracer.py rebinds walk.character_table)
 
 DENSE_ORDER_CAP = 512
 _SERIES_TERMS = 20
@@ -66,10 +67,8 @@ def adjacency_matrix(group: AbelianGroup, connection_set: ConnectionSet) -> np.n
 
 def _identity_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> np.ndarray:
     """Row of the transition matrix at the identity vertex, via characters."""
-    table = character_table(group)
-    eigenvalues = table @ _indicator(group, connection_set)
-    phases = np.exp(1j * t * eigenvalues)
-    return (phases @ table) / group.order
+    eigenvalues = _character_transform(group, _indicator(group, connection_set))
+    return _character_transform(group, np.exp(1j * t * eigenvalues), inverse=True)
 
 
 @dataclass(frozen=True)
@@ -170,8 +169,7 @@ def detect_pst_numeric(
     if not 0.0 < tol < 0.5:
         raise ValueError(f"tolerance must lie in (0, 0.5), got {tol}")
     row = _identity_row(group, connection_set, t)
-    magnitudes = np.abs(row)
-    hits = [i for i in range(1, group.order) if magnitudes[i] >= 1.0 - tol]
+    hits = (np.flatnonzero(np.abs(row[1:]) >= 1.0 - tol) + 1).tolist()
     if not hits:
         return None
     if len(hits) > 1:

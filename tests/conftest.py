@@ -59,6 +59,18 @@ def class_unions(g, include_empty=True):
         yield ConnectionSet(g, frozenset(members))
 
 
+def random_class_union(g, rng):
+    """A union of non-identity power classes, each kept with probability 1/2."""
+    from cayleypst import list_power_classes
+
+    identity = g.identity
+    members = set()
+    for cls in list_power_classes(g):
+        if identity not in cls and rng.random() < 0.5:
+            members.update(cls)
+    return ConnectionSet(g, frozenset(members))
+
+
 def inverse_closed_subsets(g):
     """Every inverse-closed identity-free subset (unions of {x, -x} orbits)."""
     identity = g.identity

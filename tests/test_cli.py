@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from cayleypst.cli import main, parse_time_literal
-from conftest import z433_transfer_sets
+from cayleypst import adjacency_matrix
+from cayleypst.cli import _edges, main, parse_time_literal
+from conftest import cset, group, z433_transfer_sets
 
 
 def run_cli(capsys, *argv):
@@ -204,3 +206,26 @@ def test_input_errors_exit_2(capsys, argv):
 def test_missing_set_file_exits_2(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "check", "-g", "Z4", "-c", f"@{tmp_path}/absent.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("payload", [[[1.7], [3]], [True, 3], [[[1]]]])
+def test_set_file_rejects_non_integer_coordinates(capsys, tmp_path, payload):
+    setfile = tmp_path / "set.json"
+    setfile.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "check", "-g", "Z4", "-c", f"@{setfile}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: coordinates must be integers")
+    assert err.count("\n") == 1
+
+
+def _edge_cases():
+    g, with_a, _ = z433_transfer_sets()
+    z2048, z12 = group("Z2048"), group("Z4xZ3")
+    return [(g, with_a), (z2048, cset(z2048, [(512,), (1536,)])), (z12, cset(z12, []))]
+
+
+@pytest.mark.parametrize("g, c", _edge_cases(), ids=["Z4xZ3xZ3", "Z2048", "no_edges"])
+def test_edges_match_dense_upper_triangle(g, c):
+    rows, cols = np.nonzero(np.triu(adjacency_matrix(g, c), 1))
+    assert _edges(g, c) == list(zip(rows.tolist(), cols.tolist()))

@@ -1,11 +1,16 @@
 """Characters, integer spectra, the integrality criterion, and delta."""
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleypst import (
+    AbelianGroup,
+    ConnectionSet,
     GroupMismatchError,
     NonIntegralSpectrumError,
     Spectrum,
@@ -13,13 +18,24 @@ from cayleypst import (
     all_character_indices,
     character_index,
     character_sum,
+    character_table,
     character_value,
     delta,
     integral_spectrum,
     is_power_closed,
+    list_power_classes,
     odd_eigenvalue_exists,
 )
-from conftest import class_unions, cset, elem, group, inverse_closed_subsets
+from cayleypst import spectra
+from cayleypst.spectra import TABLE_MAX_ORDER, _character_transform, _indicator
+from conftest import (
+    class_unions,
+    cset,
+    elem,
+    group,
+    inverse_closed_subsets,
+    random_class_union,
+)
 
 
 def test_character_value_examples():
@@ -170,3 +186,63 @@ def test_spectrum_json_sorted_descending():
     z4 = group("Z4")
     doc = integral_spectrum(z4, cset(z4, [(1,), (3,)])).to_json_dict()
     assert doc == {"eigenvalues": [[2, 1], [0, 2], [-2, 1]]}
+
+
+# Groups above TABLE_MAX_ORDER, whose character sums come from the FFT; the
+# dense table is the oracle.
+FFT_GROUPS = ["Z512", "Z4xZ75", "Z8xZ5xZ7"]
+
+
+def assert_transform_matches_table(g, table, rng):
+    values = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+    assert np.abs(_character_transform(g, values) - table @ values).max() < 1e-9
+    inverse = _character_transform(g, values, inverse=True)
+    assert np.abs(inverse - values @ table / g.order).max() < 1e-9
+
+
+@pytest.mark.parametrize("spec", FFT_GROUPS)
+def test_fft_character_sums_match_table(spec):
+    g = group(spec)
+    assert g.order > TABLE_MAX_ORDER
+    table = character_table.__wrapped__(g)
+    assert_transform_matches_table(g, table, np.random.default_rng(g.order))
+
+
+@pytest.mark.parametrize("spec", FFT_GROUPS)
+def test_fft_integral_spectrum_matches_table_route(spec, monkeypatch):
+    g = group(spec)
+    rng = random.Random(77)
+    closed = random_class_union(g, rng)
+    cls = max(list_power_classes(g), key=len)
+    generator = min(cls, key=lambda x: x.coords)
+    split = ConnectionSet(g, frozenset({generator, -generator}))
+    assert len(cls) > 2 and not is_power_closed(split)
+    tables_before = character_table.cache_info().currsize
+    fft_spectrum = integral_spectrum(g, closed)
+    with pytest.raises(NonIntegralSpectrumError) as fft_err:
+        integral_spectrum(g, split)
+    assert character_table.cache_info().currsize == tables_before
+    monkeypatch.setattr(spectra, "TABLE_MAX_ORDER", g.order)
+    assert integral_spectrum(g, closed).by_character == fft_spectrum.by_character
+    with pytest.raises(NonIntegralSpectrumError) as table_err:
+        integral_spectrum(g, split)
+    assert fft_err.value.index == table_err.value.index
+
+
+@st.composite
+def fft_sized_groups(draw):
+    factors = draw(st.lists(st.integers(2, 12), max_size=2))
+    rest = math.prod(factors)
+    last = draw(st.integers(-(-(TABLE_MAX_ORDER + 1) // rest), 1024 // rest))
+    return AbelianGroup((*factors, last))
+
+
+@settings(max_examples=8, deadline=None)
+@given(fft_sized_groups(), st.integers(0, 2**32 - 1))
+def test_fft_route_matches_table_property(g, seed):
+    assert TABLE_MAX_ORDER < g.order <= 1024
+    table = character_table.__wrapped__(g)
+    assert_transform_matches_table(g, table, np.random.default_rng(seed))
+    c = random_class_union(g, random.Random(seed))
+    expected = np.rint((table @ _indicator(g, c)).real).astype(int).tolist()
+    assert list(integral_spectrum(g, c).by_character.values()) == expected

@@ -15,25 +15,19 @@ from cayleypst import (
     detect_pst_numeric,
     is_periodic_numeric,
     list_power_classes,
+    character_table,
     transition_amplitude,
     transition_matrix,
 )
-from conftest import class_unions, cset, elem, group
+from cayleypst.spectra import TABLE_MAX_ORDER, _indicator
+from cayleypst.walk import _identity_row
+from conftest import class_unions, cset, elem, group, random_class_union
 
 
 def expm_via_eigensolver(a, t):
     """Third, test-only route: eigendecomposition of the symmetric matrix."""
     w, v = np.linalg.eigh(a)
     return (v * np.exp(1j * t * w)) @ v.conj().T
-
-
-def random_class_union(g, rng):
-    identity = g.identity
-    members = set()
-    for cls in list_power_classes(g):
-        if identity not in cls and rng.random() < 0.5:
-            members.update(cls)
-    return ConnectionSet(g, frozenset(members))
 
 
 def test_time_zero_is_identity():
@@ -197,3 +191,27 @@ def test_transition_matrix_json_shape():
     re, im = doc["entries"][0][1]
     assert re == pytest.approx(0, abs=1e-12)
     assert im == pytest.approx(1)
+
+
+@pytest.mark.parametrize("spec", ["Z512", "Z4xZ75", "Z8xZ5xZ7"])
+def test_fft_identity_row_matches_table(spec):
+    g = group(spec)
+    assert g.order > TABLE_MAX_ORDER
+    c = random_class_union(g, random.Random(g.order))
+    table = character_table.__wrapped__(g)
+    for t in (math.pi / 2, 0.7):
+        phases = np.exp(1j * t * (table @ _indicator(g, c)))
+        expected = phases @ table / g.order
+        assert np.abs(_identity_row(g, c, t) - expected).max() < 1e-9
+
+
+def test_fft_detection_above_table_size():
+    z1024 = group("Z1024")
+    c = cset(z1024, [(256,), (768,)])
+    found = detect_pst_numeric(z1024, c, math.pi / 2)
+    assert found is not None
+    assert found.target == elem(z1024, 512)
+    assert abs(found.phase) == pytest.approx(1, abs=1e-9)
+    assert is_periodic_numeric(z1024, c, math.pi)
+    amp = transition_amplitude(z1024, c, elem(z1024, 3), elem(z1024, 515), math.pi / 2)
+    assert abs(amp) == pytest.approx(1, abs=1e-9)
