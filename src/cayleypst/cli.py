@@ -19,12 +19,12 @@ import numpy as np
 from .groups import (
     AbelianGroup,
     ConnectionSet,
+    check_order,
     element_order,
-    list_power_classes,
     parse_connection_set,
     parse_element,
     parse_group,
-    power_class_key,
+    power_class_indices,
 )
 from .jsonio import dumps
 from .pst import (
@@ -33,6 +33,7 @@ from .pst import (
     Verdict,
     characterize_pst,
     enumerate_pst_sets,
+    scan_agrees,
 )
 from .spectra import NonIntegralSpectrumError, integral_spectrum
 from .walk import (
@@ -71,6 +72,13 @@ def parse_time_literal(text: str) -> tuple[str, float]:
     return f"{value:.17g}", value
 
 
+def _group(args) -> AbelianGroup:
+    """The -g group, rejected up front when it is above the size cap."""
+    group = parse_group(args.group)
+    check_order(group)
+    return group
+
+
 def _load_connection_set(group: AbelianGroup, text: str) -> ConnectionSet:
     """Inline set literal, or @file pointing at a JSON array of coordinate tuples."""
     if text.startswith("@"):
@@ -93,8 +101,13 @@ def _load_connection_set(group: AbelianGroup, text: str) -> ConnectionSet:
     return parse_connection_set(group, text)
 
 
+def _coords(group: AbelianGroup, indices: np.ndarray) -> list[list[int]]:
+    """Coordinate lists of the elements with these canonical indices, in the same order."""
+    return np.array(np.unravel_index(indices, group.factors)).T.tolist()
+
+
 def _coords_list(connection_set: ConnectionSet) -> list[list[int]]:
-    return [list(g.coords) for g in connection_set]
+    return _coords(connection_set.group, connection_set.indices)
 
 
 def _emit(document, args) -> None:
@@ -106,7 +119,7 @@ def _emit(document, args) -> None:
 
 
 def _cmd_check(args) -> int:
-    group = parse_group(args.group)
+    group = _group(args)
     cset = _load_connection_set(group, args.connection_set)
     report = characterize_pst(group, cset)
     document = {
@@ -119,10 +132,7 @@ def _cmd_check(args) -> int:
     if args.cross_validate:
         detection = detect_pst_numeric(group, cset, math.pi / 2, args.tol)
         fired = detection is not None
-        if report.verdict is not Verdict.OUT_OF_SCOPE:
-            cross_agrees = fired == (report.verdict is Verdict.PST)
-            if fired and cross_agrees and report.pair is not None:
-                cross_agrees = detection.target == report.pair[1]
+        cross_agrees = scan_agrees(report, detection)
         document["cross_validation"] = {
             "time": "pi/2",
             "fired": fired,
@@ -139,7 +149,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    group = parse_group(args.group)
+    group = _group(args)
     cset = _load_connection_set(group, args.connection_set)
     spectrum = integral_spectrum(group, cset, tol=args.tol)
     document = {
@@ -152,7 +162,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_walk(args) -> int:
-    group = parse_group(args.group)
+    group = _group(args)
     cset = _load_connection_set(group, args.connection_set)
     label, value = parse_time_literal(args.time)
     source = group.identity if args.source is None else parse_element(group, args.source)
@@ -176,7 +186,7 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    group = parse_group(args.group)
+    group = _group(args)
     cross = args.cross_validate
     if cross is None:
         cross = group.order <= CROSS_VALIDATE_MAX_ORDER
@@ -199,21 +209,20 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_classes(args) -> int:
-    group = parse_group(args.group)
-    classes = list_power_classes(group)
-    document = {
-        "group": str(group),
-        "count": len(classes),
-        "classes": [
+    group = _group(args)
+    classes = []
+    for members in power_class_indices(group):
+        # members are sorted by index, which is lexicographic coordinate order
+        coords = _coords(group, members)
+        classes.append(
             {
-                "key": list(power_class_key(cls)),
-                "member_order": element_order(group, next(iter(cls))),
-                "size": len(cls),
-                "elements": sorted([list(g.coords) for g in cls]),
+                "key": coords[0],
+                "member_order": element_order(group, group.element_at(members[0])),
+                "size": len(coords),
+                "elements": coords,
             }
-            for cls in classes
-        ],
-    }
+        )
+    document = {"group": str(group), "count": len(classes), "classes": classes}
     _emit(document, args)
     return 0
 
@@ -233,7 +242,7 @@ def _edges(group: AbelianGroup, cset: ConnectionSet) -> list[tuple[int, int]]:
 
 
 def _cmd_export(args) -> int:
-    group = parse_group(args.group)
+    group = _group(args)
     cset = _load_connection_set(group, args.connection_set)
     if args.format == "adjacency":
         adjacency = adjacency_matrix(group, cset)

@@ -4,6 +4,16 @@ A group is an ordered product of cyclic factors; elements are coordinate
 tuples bound to their group.  Connection sets (inverse-closed, identity-free
 subsets) defined here determine every graph the rest of the package studies.
 All values are immutable and safe to share.
+
+Each element also has a canonical index: the mixed-radix number of its
+coordinates, so index order is lexicographic coordinate order.  A
+ConnectionSet is held as the sorted array of its members' indices, and the
+set algebra (validation, power-closure, valuation buckets, scalar
+multiples) runs on numpy index arrays.  Each group has one cached set of
+index tables over all its elements (negation, element order and its
+2-adic valuation, power-class ids, the x2, x4 and odd-part maps), each
+built on first use.  They take O(|G|) memory, so index-backed operations
+refuse groups of more than MAX_ORDER elements.
 """
 
 from __future__ import annotations
@@ -12,8 +22,17 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
+
+# Largest group order with index tables; every |G| in the tests and the
+# benchmark is far below it.
+MAX_ORDER = 1 << 22
+# Bound of every per-group cache: above the 496 groups of order <= 128 that
+# a research sweep cycles through, so such a sweep never recomputes.
+GROUP_CACHE_SIZE = 512
 
 
 class GroupMismatchError(ValueError):
@@ -84,12 +103,22 @@ class AbelianGroup:
         return iter(_canonical_elements(self))
 
     def index_of(self, g: GroupElement) -> int:
-        """Position of g in the canonical element order."""
+        """Position of g in the canonical element order (its mixed-radix value)."""
         _require_bound(self, g)
-        return _element_index(self)[g]
+        index = 0
+        for c, n in zip(g.coords, self.factors):
+            index = index * n + c
+        return index
 
     def element_at(self, index: int) -> GroupElement:
-        return _canonical_elements(self)[index]
+        index = int(index)
+        if not 0 <= index < self.order:
+            raise IndexError(f"element index {index} out of range for {self}")
+        coords = []
+        for n in reversed(self.factors):
+            index, c = divmod(index, n)
+            coords.append(c)
+        return GroupElement(self, tuple(reversed(coords)))
 
 
 @dataclass(frozen=True)
@@ -160,7 +189,23 @@ def _require_bound(group: AbelianGroup, g: GroupElement) -> None:
         raise GroupMismatchError(f"element {g!r} is not bound to {group}")
 
 
-@lru_cache(maxsize=None)
+def _require_bound_set(group: AbelianGroup, connection_set: ConnectionSet) -> None:
+    if connection_set.group != group:
+        raise GroupMismatchError(
+            f"connection set is bound to {connection_set.group}, not {group}"
+        )
+
+
+def check_order(group: AbelianGroup) -> None:
+    """Raise ValueError when the group is too large for index tables (MAX_ORDER)."""
+    if group.order > MAX_ORDER:
+        raise ValueError(
+            f"{group} has {group.order} elements, above the cap of {MAX_ORDER} "
+            "(cayleypst.groups.MAX_ORDER)"
+        )
+
+
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _canonical_elements(group: AbelianGroup) -> tuple[GroupElement, ...]:
     return tuple(
         GroupElement(group, coords)
@@ -168,12 +213,6 @@ def _canonical_elements(group: AbelianGroup) -> tuple[GroupElement, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _element_index(group: AbelianGroup) -> dict[GroupElement, int]:
-    return {g: i for i, g in enumerate(_canonical_elements(group))}
-
-
-@lru_cache(maxsize=None)
 def _element_order(g: GroupElement) -> int:
     result = 1
     for c, n in zip(g.coords, g.group.factors):
@@ -226,16 +265,187 @@ def order_four_pair(group: AbelianGroup) -> tuple[GroupElement, GroupElement]:
     return first, second
 
 
-@lru_cache(maxsize=None)
-def _power_class(g: GroupElement) -> frozenset[GroupElement]:
-    ord_g = _element_order(g)
-    return frozenset(t * g for t in range(1, ord_g + 1) if math.gcd(t, ord_g) == 1)
+def _odd_component_multiplier(group: AbelianGroup) -> int:
+    """Integer k with k = 0 mod 2**d and k = 1 mod m; k*g is the odd-order part of g."""
+    two_power = 1 << group.d
+    return two_power * pow(two_power, -1, group.m)
+
+
+def _prime_factors(n: int) -> dict[int, int]:
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def _primitive_root(p: int, k: int) -> int:
+    """A generator of the units modulo p**k, for an odd prime p."""
+    cofactors = [(p - 1) // q for q in _prime_factors(p - 1)]
+    root = next(r for r in range(2, p) if all(pow(r, c, p) != 1 for c in cofactors))
+    # a primitive root modulo p generates modulo every p**k unless r**(p-1) = 1 mod p**2
+    if k > 1 and pow(root, p - 1, p * p) == 1:
+        root += p
+    return root
+
+
+def _unit_generators(n: int) -> list[tuple[int, int]]:
+    """Units generating the multiplicative group modulo n, each with its order.
+
+    One generator per cyclic factor of that group: a primitive root modulo
+    each odd prime power of n, and -1 and 5 modulo its power of two, each
+    lifted by the Chinese remainder theorem to be 1 modulo the rest of n.
+    """
+    found = []
+    for p, k in _prime_factors(n).items():
+        q = p**k
+        if p == 2:
+            local = ([(q - 1, 2)] if k >= 2 else []) + ([(5, q // 4)] if k >= 3 else [])
+        else:
+            local = [(_primitive_root(p, k), q - q // p)]
+        rest = n // q
+        for unit, unit_order in local:
+            found.append((1 + rest * ((unit - 1) * pow(rest, -1, q) % q), unit_order))
+    return found
+
+
+def _scaled(group: AbelianGroup, k: int, coords: np.ndarray) -> np.ndarray:
+    """Canonical indices of k*g for the elements whose coordinates are the columns of `coords`."""
+    return np.ravel_multi_index(
+        tuple((k % n) * row for row, n in zip(coords, group.factors)), group.factors, mode="wrap"
+    )
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class _IndexTables:
+    """Read-only numpy tables over the canonical indices of one group.
+
+    Each table is built on first use, so a caller pays only for the ones it
+    reads: validating a connection set needs `neg` alone, and only
+    power-closure and the class listing need the power-class ids.
+    """
+
+    def __init__(self, group: AbelianGroup) -> None:
+        self.group = group
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """Coordinates of every element, one column per canonical index."""
+        return _frozen(np.indices(self.group.factors).reshape(self.group.rank, self.group.order))
+
+    @cached_property
+    def neg(self) -> np.ndarray:
+        return _frozen(_scaled(self.group, -1, self.coords))
+
+    @cached_property
+    def times2(self) -> np.ndarray:
+        return _frozen(_scaled(self.group, 2, self.coords))
+
+    @cached_property
+    def times4(self) -> np.ndarray:
+        return _frozen(_scaled(self.group, 4, self.coords))
+
+    @cached_property
+    def odd_part(self) -> np.ndarray:
+        """Index of the odd-order component of each element."""
+        return _frozen(_scaled(self.group, _odd_component_multiplier(self.group), self.coords))
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Element orders: the lcm of the coordinate orders."""
+        factors = np.array(self.group.factors)[:, None]
+        return _frozen(np.lcm.reduce(factors // np.gcd(factors, self.coords), axis=0))
+
+    @cached_property
+    def valuation(self) -> np.ndarray:
+        """2-adic valuation of each element's order."""
+        return _frozen(np.log2(self.order & -self.order).astype(np.intp))
+
+    @cached_property
+    def class_id(self) -> np.ndarray:
+        """Power-class number of each element, in list_power_classes order."""
+        # A power class is an orbit under multiplication by the units modulo
+        # the exponent (they map onto the units modulo every element order).
+        # Per generating unit, a min-label pass whose step doubles each
+        # round covers every cycle, so each element ends up labelled with
+        # the least index of its class.
+        label = np.arange(self.group.order)
+        for unit, unit_order in _unit_generators(math.lcm(*self.group.factors)):
+            step = _scaled(self.group, unit, self.coords)
+            reach = 1
+            while reach < unit_order:
+                label = np.minimum(label, label[step])
+                step = step[step]
+                reach *= 2
+        keys, inverse = np.unique(label, return_inverse=True)
+        rank = np.empty(len(keys), dtype=np.intp)
+        rank[np.lexsort((keys, self.order[keys]))] = np.arange(len(keys))
+        return _frozen(rank[inverse])
+
+    @cached_property
+    def class_size(self) -> np.ndarray:
+        return _frozen(np.bincount(self.class_id))
+
+    @cached_property
+    def class_members(self) -> tuple[np.ndarray, ...]:
+        """Sorted member indices of each power class, in list_power_classes order."""
+        by_class = _frozen(np.argsort(self.class_id, kind="stable"))
+        return tuple(np.split(by_class, np.cumsum(self.class_size)[:-1]))
+
+    @cached_property
+    def transfer_indices(self) -> tuple[int, int, int]:
+        """Indices of the involution a and of the order-four pair b, -b."""
+        special = (unique_involution(self.group), *order_four_pair(self.group))
+        return tuple(self.group.index_of(g) for g in special)
+
+
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
+def _tables(group: AbelianGroup) -> _IndexTables:
+    check_order(group)
+    return _IndexTables(group)
+
+
+def _elements_at(group: AbelianGroup, indices: np.ndarray) -> list[GroupElement]:
+    """The elements with these canonical indices, in the same order."""
+    coords = np.unravel_index(indices, group.factors)
+    return [GroupElement(group, c) for c in zip(*(row.tolist() for row in coords))]
+
+
+def _sorted_indices(group: AbelianGroup, elements: frozenset[GroupElement]) -> np.ndarray:
+    check_order(group)
+    indices = np.fromiter((group.index_of(g) for g in elements), np.intp, len(elements))
+    indices.sort()
+    return indices
+
+
+def _index_set(elements) -> tuple[AbelianGroup | None, np.ndarray]:
+    """Group and sorted member indices of a ConnectionSet or an iterable of elements.
+
+    The group is None for an empty iterable, which has no group to read.
+    """
+    if isinstance(elements, ConnectionSet):
+        return elements.group, elements.indices
+    elems = frozenset(elements)
+    if not elems:
+        return None, np.empty(0, dtype=np.intp)
+    group = next(iter(elems)).group
+    return group, _sorted_indices(group, elems)
 
 
 def power_class(group: AbelianGroup, g: GroupElement) -> frozenset[GroupElement]:
     """All generators of the cyclic subgroup generated by g."""
-    _require_bound(group, g)
-    return _power_class(g)
+    tables = _tables(group)
+    members = tables.class_members[tables.class_id[group.index_of(g)]]
+    return frozenset(_elements_at(group, members))
 
 
 def power_class_key(cls: Iterable[GroupElement]) -> tuple[int, ...]:
@@ -243,29 +453,14 @@ def power_class_key(cls: Iterable[GroupElement]) -> tuple[int, ...]:
     return min(g.coords for g in cls)
 
 
-@lru_cache(maxsize=None)
-def _power_classes(group: AbelianGroup) -> tuple[frozenset[GroupElement], ...]:
-    seen: set[GroupElement] = set()
-    classes: list[frozenset[GroupElement]] = []
-    for g in _canonical_elements(group):
-        if g in seen:
-            continue
-        cls = _power_class(g)
-        classes.append(cls)
-        seen.update(cls)
-    classes.sort(key=lambda cls: (_element_order(next(iter(cls))), power_class_key(cls)))
-    return tuple(classes)
+def power_class_indices(group: AbelianGroup) -> tuple[np.ndarray, ...]:
+    """Sorted member indices of each power class, in list_power_classes order."""
+    return _tables(group).class_members
 
 
 def list_power_classes(group: AbelianGroup) -> list[frozenset[GroupElement]]:
     """Partition of the group into power classes, sorted by (element order, key)."""
-    return list(_power_classes(group))
-
-
-def _element_set(connection_set) -> frozenset[GroupElement]:
-    if isinstance(connection_set, ConnectionSet):
-        return connection_set.elements
-    return frozenset(connection_set)
+    return [frozenset(_elements_at(group, members)) for members in power_class_indices(group)]
 
 
 def is_power_closed(connection_set) -> bool:
@@ -274,8 +469,12 @@ def is_power_closed(connection_set) -> bool:
     Accepts a ConnectionSet or any iterable of elements, so sets that are not
     inverse-closed can still be classified.
     """
-    elems = _element_set(connection_set)
-    return all(_power_class(g) <= elems for g in elems)
+    group, indices = _index_set(connection_set)
+    if group is None:
+        return True
+    tables = _tables(group)
+    ids = tables.class_id[indices]
+    return np.array_equal(np.bincount(ids)[ids], tables.class_size[ids])
 
 
 def partition_by_two_part(connection_set) -> dict[int, frozenset[GroupElement]]:
@@ -284,45 +483,77 @@ def partition_by_two_part(connection_set) -> dict[int, frozenset[GroupElement]]:
     Bucket k holds the elements of order 2**k * odd.  Only nonempty buckets
     appear, with keys in increasing order.
     """
-    buckets: dict[int, set[GroupElement]] = {}
-    for g in _element_set(connection_set):
-        k, _ = two_part(_element_order(g))
-        buckets.setdefault(k, set()).add(g)
-    return {k: frozenset(v) for k, v in sorted(buckets.items())}
+    group, indices = _index_set(connection_set)
+    if group is None:
+        return {}
+    valuation = _tables(group).valuation[indices]
+    return {
+        int(k): frozenset(_elements_at(group, indices[valuation == k]))
+        for k in np.unique(valuation)
+    }
 
 
 def scalar_multiple_set(k: int, elements) -> frozenset[GroupElement]:
     """Elementwise scalar multiple {k*g}; collisions merge."""
     if k < 1:
         raise ValueError(f"scalar must be a positive integer, got {k}")
-    return frozenset(k * g for g in _element_set(elements))
+    group, indices = _index_set(elements)
+    if group is None:
+        return frozenset()
+    coords = np.array(np.unravel_index(indices, group.factors))
+    return frozenset(_elements_at(group, np.unique(_scaled(group, k, coords))))
 
 
-@dataclass(frozen=True)
 class ConnectionSet:
     """Validated inverse-closed, identity-free subset of one group.
 
-    `loops_allowed` records that the identity was present in the raw input
-    and stripped (a loop at every vertex, which never affects transfer).
+    `indices` is the sorted, read-only array of the members' canonical
+    indices; `elements`, the frozenset of members, is built from it on first
+    use.  `loops_allowed` records that the identity was present in the raw
+    input and stripped (a loop at every vertex, which never affects
+    transfer).
     """
 
-    group: AbelianGroup
-    elements: frozenset[GroupElement]
-    loops_allowed: bool = False
+    __slots__ = ("group", "indices", "loops_allowed", "_elements")
 
-    def __post_init__(self) -> None:
-        elems = frozenset(self.elements)
-        object.__setattr__(self, "elements", elems)
-        identity = self.group.identity
+    def __init__(
+        self, group: AbelianGroup, elements: Iterable[GroupElement], loops_allowed: bool = False
+    ) -> None:
+        elems = frozenset(elements)
         for g in elems:
-            _require_bound(self.group, g)
-            if g == identity:
-                raise ValueError(
-                    "identity may not appear in a connection set; "
-                    "use ConnectionSet.from_elements to strip loops"
-                )
-            if -g not in elems:
-                raise ValueError(f"set is not inverse-closed: missing inverse of {g!r}")
+            _require_bound(group, g)
+        self._init(group, _sorted_indices(group, elems), loops_allowed, elems)
+
+    @classmethod
+    def _from_indices(cls, group: AbelianGroup, indices: np.ndarray) -> ConnectionSet:
+        """A set from the sorted, distinct canonical indices of its members."""
+        connection_set = cls.__new__(cls)
+        connection_set._init(group, indices, False, None)
+        return connection_set
+
+    def _init(self, group, indices, loops_allowed, elements) -> None:
+        if len(indices) and indices[0] == 0:
+            raise ValueError(
+                "identity may not appear in a connection set; "
+                "use ConnectionSet.from_elements to strip loops"
+            )
+        negated = _tables(group).neg[indices]
+        if np.sort(negated).tolist() != indices.tolist():
+            first = indices[np.argmin(np.isin(negated, indices))]
+            raise ValueError(
+                f"set is not inverse-closed: missing inverse of {group.element_at(first)!r}"
+            )
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "indices", _frozen(indices))
+        object.__setattr__(self, "loops_allowed", loops_allowed)
+        object.__setattr__(self, "_elements", elements)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"ConnectionSet is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which never assigns attributes
+        return ConnectionSet, (self.group, self.elements, self.loops_allowed)
 
     @classmethod
     def from_elements(cls, group: AbelianGroup, elements: Iterable[GroupElement]) -> ConnectionSet:
@@ -333,17 +564,35 @@ class ConnectionSet:
         elems.discard(identity)
         return cls(group, frozenset(elems), loops_allowed=had_identity)
 
+    @property
+    def elements(self) -> frozenset[GroupElement]:
+        if self._elements is None:
+            object.__setattr__(self, "_elements", frozenset(self.sorted_elements()))
+        return self._elements
+
     def __iter__(self) -> Iterator[GroupElement]:
         return iter(self.sorted_elements())
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
 
     def __contains__(self, g: GroupElement) -> bool:
         return g in self.elements
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConnectionSet):
+            return NotImplemented
+        return (
+            self.group == other.group
+            and self.loops_allowed == other.loops_allowed
+            and np.array_equal(self.indices, other.indices)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.indices.tobytes(), self.loops_allowed))
+
     def sorted_elements(self) -> list[GroupElement]:
-        return sorted(self.elements, key=lambda g: g.coords)
+        return _elements_at(self.group, self.indices)
 
     def __repr__(self) -> str:
         coords = [g.coords for g in self.sorted_elements()]

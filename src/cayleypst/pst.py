@@ -14,17 +14,16 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .groups import (
     AbelianGroup,
     ConnectionSet,
     GroupElement,
-    GroupMismatchError,
+    _require_bound_set,
+    _tables,
     is_power_closed,
-    list_power_classes,
-    order_four_pair,
-    partition_by_two_part,
-    power_class_key,
-    scalar_multiple_set,
+    power_class_indices,
     subgroup_4m,
     sylow2_cyclic,
     unique_involution,
@@ -84,13 +83,6 @@ class PstReport:
         }
 
 
-def _require_bound_set(group: AbelianGroup, connection_set: ConnectionSet) -> None:
-    if connection_set.group != group:
-        raise GroupMismatchError(
-            f"connection set is bound to {connection_set.group}, not {group}"
-        )
-
-
 def _positive(group: AbelianGroup, conditions: dict[str, bool]) -> PstReport:
     return PstReport(
         Verdict.PST,
@@ -104,6 +96,33 @@ def _positive(group: AbelianGroup, conditions: dict[str, bool]) -> PstReport:
 
 def _negative(conditions: dict[str, bool], diagnostics: tuple[str, ...]) -> PstReport:
     return PstReport(Verdict.NO_PST, None, None, None, conditions, diagnostics)
+
+
+def _valuation_buckets(connection_set: ConnectionSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted member indices of C_0, C_1 and C_2 (element order 2**k * odd, k = 0, 1, 2)."""
+    indices = connection_set.indices
+    valuation = _tables(connection_set.group).valuation[indices]
+    return indices[valuation == 0], indices[valuation == 1], indices[valuation == 2]
+
+
+def _same_set(sorted_indices: np.ndarray, values: np.ndarray) -> bool:
+    """True iff the distinct `values` are exactly the sorted, distinct `sorted_indices`."""
+    # Python sets beat np.unique on the few dozen indices of a typical set
+    return sorted(set(values.tolist())) == sorted_indices.tolist()
+
+
+def scan_agrees(report: PstReport, detection) -> bool | None:
+    """Whether a numeric row scan at pi/2 confirms a verdict.
+
+    True when the scan fired exactly for a PST verdict and found its target;
+    None for an OutOfScope verdict, which claims nothing.
+    """
+    if report.verdict is Verdict.OUT_OF_SCOPE:
+        return None
+    claimed = report.verdict is Verdict.PST
+    if (detection is not None) != claimed:
+        return False
+    return not claimed or detection.target == report.pair[1]
 
 
 def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstReport:
@@ -135,8 +154,7 @@ def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstR
         )
     if group.d == 1:
         involution = unique_involution(group)
-        matches = connection_set.elements == frozenset({involution})
-        if matches:
+        if len(connection_set) == 1 and involution in connection_set:
             return _positive(group, {"matching_case": True})
         return _negative(
             {"matching_case": False},
@@ -146,30 +164,21 @@ def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstR
             ),
         )
 
-    involution = unique_involution(group)
-    b, b_inv = order_four_pair(group)
-    buckets = partition_by_two_part(connection_set)
-    empty: frozenset[GroupElement] = frozenset()
-    c0 = buckets.get(0, empty)
-    c1 = buckets.get(1, empty)
-    c2 = buckets.get(2, empty)
-    core = c2 - {b, b_inv}
+    tables = _tables(group)
+    a, b, b_inv = tables.transfer_indices
+    members = connection_set.indices.tolist()
+    c0, c1, c2 = _valuation_buckets(connection_set)
+    core = c2[(c2 != b) & (c2 != b_inv)]
     conditions = {
         "power_closed": is_power_closed(connection_set),
-        "exactly_one_of_a_b": (involution in connection_set) != (b in connection_set),
-        "c0_equals_4c2": c0 == scalar_multiple_set(4, core),
-        "c1_equals_2c2": c1 - {involution} == scalar_multiple_set(2, core),
+        "exactly_one_of_a_b": (a in members) != (b in members),
+        "c0_equals_4c2": _same_set(c0, tables.times4[core]),
+        "c1_equals_2c2": _same_set(c1[c1 != a], tables.times2[core]),
     }
     if all(conditions.values()):
         return _positive(group, conditions)
     failed = tuple(f"condition {name} failed" for name, ok in conditions.items() if not ok)
     return _negative(conditions, failed)
-
-
-def _odd_component_multiplier(group: AbelianGroup) -> int:
-    """Integer k with k = 0 mod 2**d and k = 1 mod m; k*g is the odd-order part of g."""
-    two_power = 1 << group.d
-    return two_power * pow(two_power, -1, group.m)
 
 
 def check_4m_conditions(group: AbelianGroup, connection_set: ConnectionSet) -> PstReport:
@@ -183,22 +192,18 @@ def check_4m_conditions(group: AbelianGroup, connection_set: ConnectionSet) -> P
     _require_bound_set(group, connection_set)
     if not sylow2_cyclic(group) or group.d != 2:
         raise ValueError(f"{group} must have order 4m with m odd (d = 2 exactly)")
-    involution = unique_involution(group)
-    b, _ = order_four_pair(group)
-    buckets = partition_by_two_part(connection_set)
-    empty: frozenset[GroupElement] = frozenset()
-    c0 = buckets.get(0, empty)
-    c1 = buckets.get(1, empty)
-    c2 = buckets.get(2, empty)
-    k = _odd_component_multiplier(group)
-    identity = group.identity
-    c1_star = frozenset(k * g for g in c1)
-    c2_star = frozenset(k * g for g in c2)
+    tables = _tables(group)
+    a, b, _ = tables.transfer_indices
+    members = connection_set.indices.tolist()
+    c0, c1, c2 = _valuation_buckets(connection_set)
+    c1_star = tables.odd_part[c1]
+    c2_star = tables.odd_part[c2]
+    # the identity has index 0
     conditions = {
         "power_closed": is_power_closed(connection_set),
-        "exactly_one_of_a_b": (involution in connection_set) != (b in connection_set),
-        "c0_equals_c1_star": c0 == c1_star - {identity},
-        "c0_equals_c2_star": c0 == c2_star - {identity},
+        "exactly_one_of_a_b": (a in members) != (b in members),
+        "c0_equals_c1_star": _same_set(c0, c1_star[c1_star != 0]),
+        "c0_equals_c2_star": _same_set(c0, c2_star[c2_star != 0]),
     }
     if all(conditions.values()):
         return _positive(group, conditions)
@@ -292,18 +297,14 @@ def parity_report(group: AbelianGroup, connection_set: ConnectionSet) -> ParityR
         raise ValueError(f"{group} needs a cyclic Sylow-2-subgroup of order >= 4")
     if not is_power_closed(connection_set):
         raise ValueError("parity facts require a power-closed connection set")
-    involution = unique_involution(group)
-    b, _ = order_four_pair(group)
-    buckets = partition_by_two_part(connection_set)
-    empty: frozenset[GroupElement] = frozenset()
-    c0 = buckets.get(0, empty)
-    c1 = buckets.get(1, empty)
-    c2 = buckets.get(2, empty)
+    a, b, _ = _tables(group).transfer_indices
+    members = connection_set.indices.tolist()
+    c0, c1, c2 = _valuation_buckets(connection_set)
     return ParityReport(
         c0_even=len(c0) % 2 == 0,
         c2_even=len(c2) % 2 == 0,
-        c1_odd_iff_a=(len(c1) % 2 == 1) == (involution in connection_set),
-        c2_div4_iff_no_b=(len(c2) % 4 == 0) == (b not in connection_set),
+        c1_odd_iff_a=(len(c1) % 2 == 1) == (a in members),
+        c2_div4_iff_no_b=(len(c2) % 4 == 0) == (b not in members),
     )
 
 
@@ -325,13 +326,13 @@ def enumerate_pst_sets(
     """
     if not sylow2_cyclic(group):
         raise ValueError(f"{group} is out of scope: its Sylow-2-subgroup is not cyclic")
-    all_classes = list_power_classes(group)
+    all_classes = power_class_indices(group)
     if len(all_classes) > class_cap:
         raise CapExceededError(
             f"{group} has {len(all_classes)} power classes, above the cap {class_cap}"
         )
-    identity = group.identity
-    classes = [cls for cls in all_classes if identity not in cls]
+    # the identity (index 0) is a class of its own; a class's key is its least index
+    classes = [members for members in all_classes if members[0] != 0]
     if cross_validate is None:
         cross_validate = group.order <= CROSS_VALIDATE_MAX_ORDER
         if not cross_validate:
@@ -341,26 +342,19 @@ def enumerate_pst_sets(
                 RuntimeWarning,
                 stacklevel=2,
             )
+    empty = np.empty(0, dtype=np.intp)
     found: list[tuple[int, tuple, ConnectionSet]] = []
     for mask in range(1 << len(classes)):
-        members: set[GroupElement] = set()
-        keys = []
-        for i, cls in enumerate(classes):
-            if (mask >> i) & 1:
-                members.update(cls)
-                keys.append(power_class_key(cls))
-        candidate = ConnectionSet(group, frozenset(members))
+        chosen = [members for i, members in enumerate(classes) if (mask >> i) & 1]
+        candidate = ConnectionSet._from_indices(group, np.sort(np.concatenate([empty, *chosen])))
         report = characterize_pst(group, candidate)
-        claimed = report.verdict is Verdict.PST
         if cross_validate:
             detection = detect_pst_numeric(group, candidate, TRANSFER_TIME, detect_tol)
-            observed = detection is not None
-            mismatch = claimed != observed or (
-                claimed and observed and detection.target != report.pair[1]
-            )
-            if mismatch:
+            if not scan_agrees(report, detection):
                 raise CrossValidationError(candidate, report, detection)
-        if claimed:
-            found.append((len(candidate), tuple(sorted(keys)), candidate))
+        if report.verdict is Verdict.PST:
+            keys = tuple(sorted(int(members[0]) for members in chosen))
+            found.append((len(candidate), keys, candidate))
+    # index order is lexicographic coordinate order, so the keys sort as coordinates would
     found.sort(key=lambda item: item[:2])
     return [candidate for _, _, candidate in found]

@@ -23,12 +23,13 @@ from functools import lru_cache
 import numpy as np
 
 from .groups import (
+    GROUP_CACHE_SIZE,
     AbelianGroup,
     ConnectionSet,
     GroupElement,
     GroupMismatchError,
     _canonical_elements,
-    _element_index,
+    _require_bound_set,
 )
 
 INTEGRALITY_TOL = 1e-7
@@ -82,7 +83,7 @@ def character_index(group: AbelianGroup, indices) -> CharacterIndex:
     return CharacterIndex(group, tuple(j % n for j, n in zip(raw, group.factors)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _character_indices(group: AbelianGroup) -> tuple[CharacterIndex, ...]:
     return tuple(CharacterIndex(group, g.coords) for g in _canonical_elements(group))
 
@@ -112,7 +113,7 @@ def character_sum(index: CharacterIndex, connection_set: ConnectionSet) -> compl
     return sum((character_value(index, g) for g in connection_set), 0.0 + 0.0j)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
 def character_table(group: AbelianGroup) -> np.ndarray:
     """Full |G| x |G| character table; rows are characters, columns elements.
 
@@ -149,12 +150,9 @@ def _character_transform(
 
 
 def _indicator(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray:
-    if connection_set.group != group:
-        raise GroupMismatchError(f"connection set is bound to {connection_set.group}, not {group}")
+    _require_bound_set(group, connection_set)
     vec = np.zeros(group.order)
-    index = _element_index(group)
-    for g in connection_set.elements:
-        vec[index[g]] = 1.0
+    vec[connection_set.indices] = 1.0
     return vec
 
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .groups import (
+    GROUP_CACHE_SIZE,
     AbelianGroup,
     ConnectionSet,
     GroupElement,
@@ -45,7 +46,7 @@ class AmbiguousTransferError(Exception):
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _difference_index(group: AbelianGroup) -> np.ndarray:
     """Index table D[g, h] = canonical index of h - g."""
     coords = np.array([g.coords for g in _canonical_elements(group)], dtype=np.int64)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from cayleypst import ConnectionSet, parse_group, power_class
+from cayleypst import ConnectionSet, parse_group, power_class, two_part
 
 
 def group(spec):
@@ -107,3 +107,48 @@ def brute_cyclic_subgroup(g, x):
         out.add(acc)
         acc = acc + x
     return frozenset(out)
+
+
+def brute_power_classes(g):
+    """Non-identity power classes: elements grouped by the cyclic subgroup they generate."""
+    by_subgroup = {}
+    for x in g.elements():
+        if x != g.identity:
+            by_subgroup.setdefault(brute_cyclic_subgroup(g, x), set()).add(x)
+    return [frozenset(cls) for cls in by_subgroup.values()]
+
+
+def brute_transfer_sets(g):
+    """Census by the GroupElement mask loop, ordered like enumerate_pst_sets.
+
+    Every union of non-identity power classes is built as a frozenset and
+    decided by the transfer conditions element by element (the group must
+    have a cyclic Sylow-2-subgroup); results are sorted by (size, sorted
+    class keys), each key being the class's lexicographically smallest
+    coordinates.
+    """
+    classes = brute_power_classes(g)
+    orders = {x: brute_element_order(g, x) for x in g.elements()}
+    a = next((x for x, n in orders.items() if n == 2), None)
+    b, b_inv = [x for x, n in orders.items() if n == 4] if g.d >= 2 else (None, None)
+
+    def transfers(members):
+        if g.d <= 1:
+            return g.d == 1 and members == {a}
+        buckets = {k: {x for x in members if two_part(orders[x])[0] == k} for k in (0, 1, 2)}
+        core = buckets[2] - {b, b_inv}
+        return (
+            (a in members) != (b in members)
+            and buckets[0] == {4 * x for x in core}
+            and buckets[1] - {a} == {2 * x for x in core}
+        )
+
+    found = []
+    for mask in range(1 << len(classes)):
+        chosen = [cls for i, cls in enumerate(classes) if (mask >> i) & 1]
+        members = frozenset().union(*chosen)
+        if transfers(members):
+            keys = tuple(sorted(min(x.coords for x in cls) for cls in chosen))
+            found.append((len(members), keys, ConnectionSet(g, members)))
+    found.sort(key=lambda item: item[:2])
+    return [c for _, _, c in found]

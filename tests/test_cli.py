@@ -229,3 +229,47 @@ def _edge_cases():
 def test_edges_match_dense_upper_triangle(g, c):
     rows, cols = np.nonzero(np.triu(adjacency_matrix(g, c), 1))
     assert _edges(g, c) == list(zip(rows.tolist(), cols.tolist()))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "-g", "Z100000000000", "-c", "{1,99999999999}"),
+        ("check", "-g", "Z2048xZ2049", "-c", "{}", "--cross-validate"),
+        ("spectrum", "-g", "Z4194305", "-c", "{1,4194304}"),
+        ("walk", "-g", "Z4194305", "-c", "{}", "-t", "pi/2", "--target", "1"),
+        ("enumerate", "-g", "Z4194305"),
+        ("classes", "-g", "Z4194305"),
+        ("export", "-g", "Z4194305", "-c", "{}"),
+    ],
+)
+def test_groups_above_the_cap_exit_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "above the cap of 4194304" in err
+
+
+def test_not_inverse_closed_names_first_offender(capsys):
+    code, out, err = run_cli(capsys, "check", "-g", "Z8", "-c", "{1,2,7}")
+    assert (code, out) == (2, "")
+    assert err == "error: set is not inverse-closed: missing inverse of (2)@Z8\n"
+
+
+def test_classes_command_matches_list_power_classes(capsys):
+    from cayleypst import element_order, list_power_classes, power_class_key
+
+    g = group("Z8xZ3xZ3")
+    code, out, _ = run_cli(capsys, "classes", "-g", str(g))
+    assert code == 0
+    expected = [
+        {
+            "key": list(power_class_key(cls)),
+            "member_order": element_order(g, next(iter(cls))),
+            "size": len(cls),
+            "elements": sorted(list(x.coords) for x in cls),
+        }
+        for cls in list_power_classes(g)
+    ]
+    assert json.loads(out)["classes"] == expected

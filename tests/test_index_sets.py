@@ -1,0 +1,258 @@
+"""Index-backed connection sets and per-group index tables against element-wise definitions."""
+
+import copy
+import math
+import pickle
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from cayleypst import (
+    AbelianGroup,
+    ConnectionSet,
+    GroupMismatchError,
+    characterize_pst,
+    enumerate_pst_sets,
+    integral_spectrum,
+    is_power_closed,
+    list_power_classes,
+    partition_by_two_part,
+    scalar_multiple_set,
+    two_part,
+)
+from cayleypst import cli, groups, jsonio, pst, spectra, walk
+from cayleypst.groups import MAX_ORDER, _primitive_root, _tables, _unit_generators
+from conftest import (
+    brute_cyclic_subgroup,
+    brute_element_order,
+    brute_power_classes,
+    brute_transfer_sets,
+    elem,
+    group,
+)
+
+
+def factor_lists(max_order, cyclic_sylow2=False):
+    """Hypothesis strategy: up to three cyclic factors with product <= max_order."""
+    lists = st.lists(st.integers(2, max_order), min_size=1, max_size=3).filter(
+        lambda fs: math.prod(fs) <= max_order
+    )
+    if cyclic_sylow2:
+        lists = lists.filter(lambda fs: sum(n % 2 == 0 for n in fs) <= 1)
+    return lists.map(lambda fs: AbelianGroup(tuple(fs)))
+
+
+@st.composite
+def group_and_subset(draw, max_order=64):
+    """A group and an arbitrary subset of it (any size, not necessarily inverse-closed)."""
+    g = draw(factor_lists(max_order))
+    picked = draw(st.sets(st.integers(0, g.order - 1), max_size=g.order))
+    return g, frozenset(g.element_at(i) for i in picked)
+
+
+def coords_of(sets):
+    return [[x.coords for x in c] for c in sets]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(factor_lists(128, cyclic_sylow2=True))
+def test_enumerate_matches_element_oracle(g):
+    assume(len(brute_power_classes(g)) <= 9)
+    found = enumerate_pst_sets(g, cross_validate=False)
+    assert coords_of(found) == coords_of(brute_transfer_sets(g))
+
+
+def test_enumerate_matches_element_oracle_on_census_groups():
+    for spec in ("Z4xZ3", "Z8xZ3", "Z16", "Z4xZ5", "Z2xZ9", "Z12xZ3"):
+        g = group(spec)
+        found = enumerate_pst_sets(g, cross_validate=True)
+        assert coords_of(found) == coords_of(brute_transfer_sets(g)), spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_and_subset())
+def test_is_power_closed_matches_definition(case):
+    g, subset = case
+    expected = all(
+        {y for y in g.elements() if brute_cyclic_subgroup(g, y) == brute_cyclic_subgroup(g, x)}
+        <= subset
+        for x in subset
+    )
+    assert is_power_closed(subset) is expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_and_subset())
+def test_partition_by_two_part_matches_definition(case):
+    g, subset = case
+    expected = {}
+    for x in subset:
+        expected.setdefault(two_part(brute_element_order(g, x))[0], set()).add(x)
+    buckets = partition_by_two_part(subset)
+    assert list(buckets) == sorted(expected)
+    assert buckets == {k: frozenset(v) for k, v in expected.items()}
+    assert all(type(v) is frozenset for v in buckets.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(group_and_subset(), st.one_of(st.integers(1, 40), st.integers(10**20, 10**30)))
+def test_scalar_multiple_set_matches_definition(case, k):
+    g, subset = case
+    expected = set()
+    for x in subset:
+        acc = g.identity
+        for _ in range(k % math.lcm(*g.factors)):
+            acc = acc + x
+        expected.add(acc)
+    assert scalar_multiple_set(k, subset) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_and_subset(max_order=48))
+def test_connection_set_routes_agree_on_inverse_closures(case):
+    """The index-backed ConnectionSet answers like the raw frozenset it was built from."""
+    g, subset = case
+    closed = frozenset(subset | {-x for x in subset}) - {g.identity}
+    c = ConnectionSet(g, closed)
+    assert c.elements == closed
+    assert [x.coords for x in c] == sorted(x.coords for x in closed)
+    assert c.indices.tolist() == sorted(g.index_of(x) for x in closed)
+    assert is_power_closed(c) == is_power_closed(closed)
+    assert partition_by_two_part(c) == partition_by_two_part(closed)
+    assert scalar_multiple_set(3, c) == scalar_multiple_set(3, closed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_lists(96))
+def test_power_classes_match_generated_subgroups(g):
+    classes = list_power_classes(g)
+    assert {cls for cls in classes if g.identity not in cls} == set(brute_power_classes(g))
+    keys = [(brute_element_order(g, next(iter(cls))), min(x.coords for x in cls)) for cls in classes]
+    assert keys == sorted(keys)
+
+
+def test_unit_generators_generate_every_unit():
+    for n in range(2, 400):
+        reached = {1 % n}
+        for unit, unit_order in _unit_generators(n):
+            assert pow(unit, unit_order, n) == 1 % n
+            assert all(pow(unit, unit_order // q, n) != 1 for q in groups._prime_factors(unit_order))
+            powers = {pow(unit, j, n) for j in range(unit_order)}
+            reached = {(r * p) % n for r in reached for p in powers}
+        assert reached == {t % n for t in range(1, n + 1) if math.gcd(t, n) == 1}, n
+
+
+def test_primitive_root_lifts_when_it_fails_modulo_p_squared():
+    # 5 is the least primitive root modulo 40487, but 5**40486 = 1 modulo 40487**2
+    p = 40487
+    assert pow(5, p - 1, p * p) == 1
+    root = _primitive_root(p, 2)
+    phi = p * (p - 1)
+    assert all(pow(root, phi // q, p * p) != 1 for q in groups._prime_factors(phi))
+
+
+def test_index_tables_match_elementwise_arithmetic():
+    g = group("Z8xZ3xZ5")
+    tables = _tables(g)
+    for x in g.elements():
+        i = g.index_of(x)
+        assert g.element_at(i) == x
+        assert tables.neg[i] == g.index_of(-x)
+        assert tables.times2[i] == g.index_of(2 * x)
+        assert tables.times4[i] == g.index_of(4 * x)
+        assert tables.order[i] == brute_element_order(g, x)
+        assert tables.valuation[i] == two_part(brute_element_order(g, x))[0]
+        odd = tables.odd_part[i]
+        assert brute_element_order(g, g.element_at(odd)) % 2 == 1
+        assert brute_element_order(g, x - g.element_at(odd)) in (1, 2, 4, 8)
+    assert all(not t.flags.writeable for t in (tables.neg, tables.class_id, tables.coords))
+
+
+def test_connection_set_is_read_only_and_hashable():
+    z12 = group("Z12")
+    c = ConnectionSet(z12, frozenset({elem(z12, 2), elem(z12, 10)}))
+    with pytest.raises(ValueError):
+        c.indices[0] = 3
+    with pytest.raises(AttributeError):
+        c.loops_allowed = True
+    same = ConnectionSet.from_elements(z12, [elem(z12, 10), elem(z12, 2)])
+    assert c == same and hash(c) == hash(same)
+    looped = ConnectionSet.from_elements(z12, [z12.identity, elem(z12, 2), elem(z12, 10)])
+    assert c != looped
+    assert c != ConnectionSet(group("Z4xZ3"), frozenset())
+    assert pickle.loads(pickle.dumps(looped)) == looped
+    assert copy.deepcopy(looped) == looped and copy.copy(c) == c
+
+
+def test_validation_messages_are_kept():
+    z12 = group("Z12")
+    with pytest.raises(ValueError) as identity:
+        ConnectionSet(z12, frozenset({z12.identity, elem(z12, 3), elem(z12, 9)}))
+    assert str(identity.value) == (
+        "identity may not appear in a connection set; "
+        "use ConnectionSet.from_elements to strip loops"
+    )
+    with pytest.raises(ValueError) as missing:
+        ConnectionSet(z12, frozenset({elem(z12, 5), elem(z12, 7), elem(z12, 3), elem(z12, 2)}))
+    # 2 and 3 both lack inverses; the first in canonical order is named
+    assert str(missing.value) == "set is not inverse-closed: missing inverse of (2)@Z12"
+    g = group("Z4xZ3")
+    with pytest.raises(ValueError, match=r"missing inverse of \(1,2\)@Z4xZ3$"):
+        ConnectionSet(g, frozenset({elem(g, 1, 2), elem(g, 3, 0), elem(g, 1, 0)}))
+    with pytest.raises(GroupMismatchError, match=r"element \(1\)@Z4 is not bound to Z12"):
+        ConnectionSet(z12, frozenset({elem(group("Z4"), 1)}))
+
+
+def test_binding_check_is_shared():
+    c = ConnectionSet(group("Z4"), frozenset({elem(group("Z4"), 1), elem(group("Z4"), 3)}))
+    message = "connection set is bound to Z4, not Z8"
+    with pytest.raises(GroupMismatchError, match=message):
+        characterize_pst(group("Z8"), c)
+    with pytest.raises(GroupMismatchError, match=message):
+        integral_spectrum(group("Z8"), c)
+
+
+def test_index_tables_refuse_groups_above_the_cap():
+    huge = AbelianGroup((MAX_ORDER + 1,))
+    with pytest.raises(ValueError, match=str(MAX_ORDER)):
+        _tables(huge)
+    with pytest.raises(ValueError, match=str(MAX_ORDER)):
+        ConnectionSet(huge, frozenset({huge.element([1]), huge.element([-1])}))
+
+
+def test_tables_are_built_only_when_read():
+    _tables.cache_clear()
+    g = group("Z2xZ3xZ7xZ5")
+    c = ConnectionSet(g, frozenset())
+    assert "neg" in vars(_tables(g)) and "class_id" not in vars(_tables(g))
+    integral_spectrum(g, c)
+    assert "class_id" not in vars(_tables(g))
+    assert is_power_closed(c)
+    assert "class_id" in vars(_tables(g))
+
+
+def test_sets_from_class_indices_build_no_elements_until_read():
+    g = group("Z8xZ3")
+    found = enumerate_pst_sets(g)
+    assert len(found) == 16
+    assert all(c._elements is None for c in found)
+    assert characterize_pst(g, found[0]).verdict.value == "PST"
+    assert found[0]._elements is None
+    assert len(found[0].elements) == len(found[0])
+
+
+CACHED = {
+    groups: ("_canonical_elements", "_tables"),
+    spectra: ("character_table", "_character_indices"),
+    walk: ("_difference_index",),
+}
+
+
+def test_every_cache_is_bounded():
+    for module in (groups, spectra, walk, pst, cli, jsonio):
+        caches = {name for name, fn in vars(module).items() if hasattr(fn, "cache_info")}
+        assert caches >= set(CACHED.get(module, ())), module.__name__
+        for name in caches:
+            maxsize = getattr(module, name).cache_info().maxsize
+            assert maxsize is not None and maxsize >= 512, f"{module.__name__}.{name}"

@@ -23,7 +23,7 @@ from cayleypst import (
     unique_involution,
 )
 import cayleypst.pst
-from conftest import class_unions, cset, group
+from conftest import class_unions, cset, group, z433_transfer_sets
 
 
 def test_reference_36_vertex_sets_have_transfer(z433_sets):
@@ -247,3 +247,22 @@ def test_enumerate_warns_when_auto_disabling(monkeypatch):
     monkeypatch.setattr(cayleypst.pst, "CROSS_VALIDATE_MAX_ORDER", 8)
     with pytest.warns(RuntimeWarning):
         enumerate_pst_sets(group("Z12"))
+
+
+def test_scan_agrees_compares_verdict_target_and_scope():
+    from cayleypst.pst import scan_agrees
+    from cayleypst.walk import PstDetection
+
+    g, with_a, _ = z433_transfer_sets()
+    positive = characterize_pst(g, with_a)
+    negative = characterize_pst(g, cset(g, [(0, 1, 0), (0, 2, 0)]))
+    out_of_scope = characterize_pst(group("Z2xZ2"), cset(group("Z2xZ2"), [(0, 1)]))
+    hit = PstDetection(g.identity, unique_involution(g), 1j)
+    elsewhere = PstDetection(g.identity, g.element((0, 1, 0)), 1j)
+    assert scan_agrees(positive, hit) is True
+    assert scan_agrees(positive, elsewhere) is False
+    assert scan_agrees(positive, None) is False
+    assert scan_agrees(negative, None) is True
+    assert scan_agrees(negative, hit) is False
+    assert scan_agrees(out_of_scope, None) is None
+    assert scan_agrees(out_of_scope, hit) is None
