@@ -151,7 +151,7 @@ def _cmd_check(args) -> int:
 def _cmd_spectrum(args) -> int:
     group = _group(args)
     cset = _load_connection_set(group, args.connection_set)
-    spectrum = integral_spectrum(group, cset, tol=args.tol)
+    spectrum = integral_spectrum(group, cset)
     document = {
         "group": str(group),
         "connection_set": _coords_list(cset),
@@ -266,8 +266,15 @@ def _cmd_export(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one `error: ...` line and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cayleypst",
         description=(
             "Perfect state transfer on Cayley graphs of finite abelian groups: "
@@ -310,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum = sub.add_parser("spectrum", help="exact integer spectrum via characters")
     group_arg(spectrum)
     set_arg(spectrum)
-    spectrum.add_argument("--tol", type=float, default=1e-7, help="integrality tolerance")
     out_arg(spectrum)
     spectrum.set_defaults(handler=_cmd_spectrum)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -47,7 +48,7 @@ def two_part(n: int) -> tuple[int, int]:
     return k, n >> k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AbelianGroup:
     """Product of cyclic groups Z_n1 x ... x Z_nr, in the order written.
 
@@ -57,9 +58,11 @@ class AbelianGroup:
     """
 
     factors: tuple[int, ...]
-    order: int = field(init=False, compare=False, repr=False)
-    d: int = field(init=False, compare=False, repr=False)
-    m: int = field(init=False, compare=False, repr=False)
+    order: int = field(init=False, repr=False)
+    d: int = field(init=False, repr=False)
+    m: int = field(init=False, repr=False)
+    # groups key every per-group cache, so the hash is computed once
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         factors = tuple(int(n) for n in self.factors)
@@ -74,6 +77,17 @@ class AbelianGroup:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_hash", hash(factors))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, AbelianGroup):
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return "x".join(f"Z{n}" for n in self.factors)
@@ -87,16 +101,16 @@ class AbelianGroup:
 
     @property
     def identity(self) -> GroupElement:
-        return GroupElement(self, (0,) * len(self.factors))
+        return _element(self, (0,) * len(self.factors))
 
     def element(self, coords: Iterable[int]) -> GroupElement:
         """Build an element, reducing each coordinate modulo its factor."""
-        raw = tuple(int(c) for c in coords)
+        raw = tuple(coords)
         if len(raw) != len(self.factors):
             raise ValueError(
                 f"expected {len(self.factors)} coordinates for {self}, got {len(raw)}"
             )
-        return GroupElement(self, tuple(c % n for c, n in zip(raw, self.factors)))
+        return _element(self, tuple(map(operator.mod, map(int, raw), self.factors)))
 
     def elements(self) -> Iterator[GroupElement]:
         """All elements in canonical (lexicographic coordinate) order."""
@@ -118,7 +132,7 @@ class AbelianGroup:
         for n in reversed(self.factors):
             index, c = divmod(index, n)
             coords.append(c)
-        return GroupElement(self, tuple(reversed(coords)))
+        return _element(self, tuple(reversed(coords)))
 
 
 @dataclass(frozen=True)
@@ -151,7 +165,7 @@ class GroupElement:
         if not isinstance(other, GroupElement):
             return NotImplemented
         _require_bound(self.group, other)
-        return GroupElement(
+        return _element(
             self.group,
             tuple((a + b) % n for a, b, n in zip(self.coords, other.coords, self.group.factors)),
         )
@@ -160,20 +174,20 @@ class GroupElement:
         if not isinstance(other, GroupElement):
             return NotImplemented
         _require_bound(self.group, other)
-        return GroupElement(
+        return _element(
             self.group,
             tuple((a - b) % n for a, b, n in zip(self.coords, other.coords, self.group.factors)),
         )
 
     def __neg__(self) -> GroupElement:
-        return GroupElement(
+        return _element(
             self.group, tuple((-c) % n for c, n in zip(self.coords, self.group.factors))
         )
 
     def __mul__(self, k: int) -> GroupElement:
         if not isinstance(k, int):
             return NotImplemented
-        return GroupElement(
+        return _element(
             self.group, tuple((k * c) % n for c, n in zip(self.coords, self.group.factors))
         )
 
@@ -182,6 +196,15 @@ class GroupElement:
     @property
     def order(self) -> int:
         return _element_order(self)
+
+
+def _element(group: AbelianGroup, coords: tuple[int, ...]) -> GroupElement:
+    """An element from coordinates already reduced modulo the factors; checks nothing."""
+    g = object.__new__(GroupElement)
+    state = g.__dict__
+    state["group"] = group
+    state["coords"] = coords
+    return g
 
 
 def _require_bound(group: AbelianGroup, g: GroupElement) -> None:
@@ -208,7 +231,7 @@ def check_order(group: AbelianGroup) -> None:
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _canonical_elements(group: AbelianGroup) -> tuple[GroupElement, ...]:
     return tuple(
-        GroupElement(group, coords)
+        _element(group, coords)
         for coords in itertools.product(*(range(n) for n in group.factors))
     )
 
@@ -401,10 +424,21 @@ class _IndexTables:
         by_class = _frozen(np.argsort(self.class_id, kind="stable"))
         return tuple(np.split(by_class, np.cumsum(self.class_size)[:-1]))
 
+    # per-group constants, each O(1)
+
+    @cached_property
+    def sylow2_cyclic(self) -> bool:
+        return sylow2_cyclic(self.group)
+
+    @cached_property
+    def transfer_pair(self) -> tuple[GroupElement, GroupElement]:
+        """The identity and the unique involution a: the pair of every positive verdict."""
+        return self.group.identity, unique_involution(self.group)
+
     @cached_property
     def transfer_indices(self) -> tuple[int, int, int]:
         """Indices of the involution a and of the order-four pair b, -b."""
-        special = (unique_involution(self.group), *order_four_pair(self.group))
+        special = (self.transfer_pair[1], *order_four_pair(self.group))
         return tuple(self.group.index_of(g) for g in special)
 
 
@@ -417,14 +451,21 @@ def _tables(group: AbelianGroup) -> _IndexTables:
 def _elements_at(group: AbelianGroup, indices: np.ndarray) -> list[GroupElement]:
     """The elements with these canonical indices, in the same order."""
     coords = np.unravel_index(indices, group.factors)
-    return [GroupElement(group, c) for c in zip(*(row.tolist() for row in coords))]
+    return [_element(group, c) for c in zip(*(row.tolist() for row in coords))]
 
 
-def _sorted_indices(group: AbelianGroup, elements: frozenset[GroupElement]) -> np.ndarray:
+def _sorted_indices(group: AbelianGroup, elements: Iterable[GroupElement]) -> np.ndarray:
+    """Sorted distinct canonical indices of elements of `group`, from their coordinates."""
     check_order(group)
-    indices = np.fromiter((group.index_of(g) for g in elements), np.intp, len(elements))
-    indices.sort()
-    return indices
+    coords: list[int] = []
+    for g in elements:
+        if g.group is not group:
+            _require_bound(group, g)
+        coords.extend(g.coords)
+    rows = np.array(coords, dtype=np.intp).reshape(-1, group.rank)
+    indices = np.ravel_multi_index(tuple(rows.T), group.factors)
+    # Python's set and sort beat np.unique on the few dozen members of a typical set
+    return np.array(sorted(set(indices.tolist())), dtype=np.intp)
 
 
 def _index_set(elements) -> tuple[AbelianGroup | None, np.ndarray]:
@@ -434,10 +475,10 @@ def _index_set(elements) -> tuple[AbelianGroup | None, np.ndarray]:
     """
     if isinstance(elements, ConnectionSet):
         return elements.group, elements.indices
-    elems = frozenset(elements)
+    elems = list(elements)
     if not elems:
         return None, np.empty(0, dtype=np.intp)
-    group = next(iter(elems)).group
+    group = elems[0].group
     return group, _sorted_indices(group, elems)
 
 
@@ -474,7 +515,7 @@ def is_power_closed(connection_set) -> bool:
         return True
     tables = _tables(group)
     ids = tables.class_id[indices]
-    return np.array_equal(np.bincount(ids)[ids], tables.class_size[ids])
+    return bool((np.bincount(ids)[ids] == tables.class_size[ids]).all())
 
 
 def partition_by_two_part(connection_set) -> dict[int, frozenset[GroupElement]]:
@@ -519,19 +560,18 @@ class ConnectionSet:
     def __init__(
         self, group: AbelianGroup, elements: Iterable[GroupElement], loops_allowed: bool = False
     ) -> None:
-        elems = frozenset(elements)
-        for g in elems:
-            _require_bound(group, g)
-        self._init(group, _sorted_indices(group, elems), loops_allowed, elems)
+        self._init(group, _sorted_indices(group, elements), loops_allowed)
 
     @classmethod
-    def _from_indices(cls, group: AbelianGroup, indices: np.ndarray) -> ConnectionSet:
+    def _from_indices(
+        cls, group: AbelianGroup, indices: np.ndarray, loops_allowed: bool = False
+    ) -> ConnectionSet:
         """A set from the sorted, distinct canonical indices of its members."""
         connection_set = cls.__new__(cls)
-        connection_set._init(group, indices, False, None)
+        connection_set._init(group, indices, loops_allowed)
         return connection_set
 
-    def _init(self, group, indices, loops_allowed, elements) -> None:
+    def _init(self, group, indices, loops_allowed) -> None:
         if len(indices) and indices[0] == 0:
             raise ValueError(
                 "identity may not appear in a connection set; "
@@ -546,7 +586,7 @@ class ConnectionSet:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "indices", _frozen(indices))
         object.__setattr__(self, "loops_allowed", loops_allowed)
-        object.__setattr__(self, "_elements", elements)
+        object.__setattr__(self, "_elements", None)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"ConnectionSet is immutable; cannot set {name!r}")
@@ -558,11 +598,10 @@ class ConnectionSet:
     @classmethod
     def from_elements(cls, group: AbelianGroup, elements: Iterable[GroupElement]) -> ConnectionSet:
         """Build a connection set, silently stripping the identity if present."""
-        elems = set(elements)
-        identity = group.identity
-        had_identity = identity in elems
-        elems.discard(identity)
-        return cls(group, frozenset(elems), loops_allowed=had_identity)
+        indices = _sorted_indices(group, elements)
+        # the identity has index 0
+        had_identity = bool(len(indices) and indices[0] == 0)
+        return cls._from_indices(group, indices[1:] if had_identity else indices, had_identity)
 
     @property
     def elements(self) -> frozenset[GroupElement]:

@@ -24,6 +24,9 @@ def _scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} as a JSON scalar")
 
 
+_INT = {int}
+
+
 def _is_scalar(value) -> bool:
     return value is None or isinstance(value, (bool, int, float, str))
 
@@ -44,6 +47,10 @@ def dumps(value, _level: int = 0) -> str:
             return "[]"
         if all(_is_scalar(item) for item in items):
             return "[" + ", ".join(_scalar(item) for item in items) + "]"
+        if all(type(item) is list and item and set(map(type, item)) == _INT for item in items):
+            # rows of plain ints (coordinates, index lists): str() is their scalar form
+            body = ",\n".join(inner + "[" + ", ".join(map(str, item)) + "]" for item in items)
+            return "[\n" + body + "\n" + pad + "]"
         body = ",\n".join(inner + dumps(item, _level + 1) for item in items)
         return "[\n" + body + "\n" + pad + "]"
     if isinstance(value, dict):

@@ -20,13 +20,13 @@ from .groups import (
     AbelianGroup,
     ConnectionSet,
     GroupElement,
+    _even_factor_index,
     _require_bound_set,
     _tables,
     is_power_closed,
     power_class_indices,
     subgroup_4m,
     sylow2_cyclic,
-    unique_involution,
 )
 from .spectra import delta, integral_spectrum
 from .walk import CapExceededError, detect_pst_numeric
@@ -84,14 +84,8 @@ class PstReport:
 
 
 def _positive(group: AbelianGroup, conditions: dict[str, bool]) -> PstReport:
-    return PstReport(
-        Verdict.PST,
-        (group.identity, unique_involution(group)),
-        _TIME_LABEL,
-        TRANSFER_TIME,
-        conditions,
-        (),
-    )
+    pair = _tables(group).transfer_pair
+    return PstReport(Verdict.PST, pair, _TIME_LABEL, TRANSFER_TIME, conditions, ())
 
 
 def _negative(conditions: dict[str, bool], diagnostics: tuple[str, ...]) -> PstReport:
@@ -138,7 +132,8 @@ def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstR
     the time pi/2.
     """
     _require_bound_set(group, connection_set)
-    if not sylow2_cyclic(group):
+    tables = _tables(group)
+    if not tables.sylow2_cyclic:
         return PstReport(
             Verdict.OUT_OF_SCOPE,
             None,
@@ -153,8 +148,8 @@ def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstR
             ("a Cayley graph of an odd-order group never admits perfect state transfer",),
         )
     if group.d == 1:
-        involution = unique_involution(group)
-        if len(connection_set) == 1 and involution in connection_set:
+        involution = tables.transfer_pair[1]
+        if connection_set.indices.tolist() == [group.index_of(involution)]:
             return _positive(group, {"matching_case": True})
         return _negative(
             {"matching_case": False},
@@ -164,7 +159,6 @@ def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstR
             ),
         )
 
-    tables = _tables(group)
     a, b, b_inv = tables.transfer_indices
     members = connection_set.indices.tolist()
     c0, c1, c2 = _valuation_buckets(connection_set)
@@ -227,14 +221,6 @@ def reduce_to_4m(
     return embedding.group, ConnectionSet(embedding.group, kept)
 
 
-def _character_sign_at_involution(index, involution: GroupElement) -> int:
-    parity = 0
-    for j, c, n in zip(index.indices, involution.coords, index.group.factors):
-        # involution coordinates are 0 or n/2, so 2*j*c is a multiple of n
-        parity += (2 * j * c) // n
-    return -1 if parity % 2 else 1
-
-
 def character_criterion(group: AbelianGroup, connection_set: ConnectionSet) -> bool:
     """Third decision route: the transfer-phase identity over all characters.
 
@@ -249,19 +235,17 @@ def character_criterion(group: AbelianGroup, connection_set: ConnectionSet) -> b
     spectrum = integral_spectrum(group, connection_set)
     if group.d == 0:
         return False
-    involution = unique_involution(group)
+    even = _even_factor_index(group)  # ValueError unless the Sylow-2-subgroup is cyclic
     gap = delta(spectrum)
     if gap is None:
         return False
-    size = len(connection_set)
-    for index, eigenvalue in spectrum.by_character.items():
-        difference = size - eigenvalue
-        if difference % gap:
-            return False
-        wanted = -1 if (difference // gap) % 2 else 1
-        if _character_sign_at_involution(index, involution) != wanted:
-            return False
-    return True
+    # |C| is the top eigenvalue, so delta divides every |C| - chi(C)
+    steps = (len(connection_set) - spectrum.values) // gap
+    # a is n/2 on the even factor Z_n and 0 elsewhere, so chi_j(a) = (-1)**j_e,
+    # with j_e the character's coordinate on that factor
+    n = group.factors[even]
+    wanted = (steps % 2).reshape(-1, n, math.prod(group.factors[even + 1 :]))
+    return bool((wanted == (np.arange(n) % 2)[:, None]).all())
 
 
 @dataclass(frozen=True)
@@ -297,7 +281,8 @@ def parity_report(group: AbelianGroup, connection_set: ConnectionSet) -> ParityR
         raise ValueError(f"{group} needs a cyclic Sylow-2-subgroup of order >= 4")
     if not is_power_closed(connection_set):
         raise ValueError("parity facts require a power-closed connection set")
-    a, b, _ = _tables(group).transfer_indices
+    tables = _tables(group)
+    a, b, _ = tables.transfer_indices
     members = connection_set.indices.tolist()
     c0, c1, c2 = _valuation_buckets(connection_set)
     return ParityReport(

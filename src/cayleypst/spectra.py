@@ -2,8 +2,9 @@
 
 Every character is simultaneously an eigenvector of every Cayley graph of its
 group; the eigenvalue attached to a connection set is the character sum over
-that set.  The sums are evaluated in double precision and snapped to integers
-within a tolerance, which succeeds exactly when the set is power-closed.
+that set.  The sums are evaluated in double precision and rounded to
+integers; they are integers exactly when the set is power-closed, which
+decides integrality.
 
 Over the factor shape, the vector of all character sums is one
 multidimensional DFT.  Up to TABLE_MAX_ORDER vertices the sums come from the
@@ -15,10 +16,8 @@ O(|G|) memory, and no table is built.
 from __future__ import annotations
 
 import cmath
-import math
-from collections import Counter
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .groups import (
     GroupMismatchError,
     _canonical_elements,
     _require_bound_set,
+    is_power_closed,
 )
 
 INTEGRALITY_TOL = 1e-7
@@ -39,7 +39,7 @@ TABLE_MAX_ORDER = 256
 
 
 class NonIntegralSpectrumError(Exception):
-    """An eigenvalue is not close to an integer: the set is not power-closed."""
+    """The set is not power-closed, so some eigenvalue is not an integer."""
 
     def __init__(self, index: "CharacterIndex", value: complex):
         self.index = index
@@ -125,7 +125,10 @@ def character_table(group: AbelianGroup) -> np.ndarray:
     table = np.ones((1, 1), dtype=np.complex128)
     for n in group.factors:
         grid = np.outer(np.arange(n), np.arange(n)) % n
-        table = np.kron(table, np.exp(2j * np.pi * grid / n))
+        block = np.exp(2j * np.pi * grid / n)
+        # the Kronecker product table (x) block, without np.kron's per-call overhead
+        size = len(table) * n
+        table = (table[:, None, :, None] * block[None, :, None, :]).reshape(size, size)
     table.setflags(write=False)
     return table
 
@@ -156,21 +159,57 @@ def _indicator(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray
     return vec
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """Exact integer eigenvalues of an integral translation graph.
 
-    `by_character` maps every character index to its eigenvalue;
-    `eigenvalues` is the derived multiset, keyed by value in descending order.
+    `values` is the read-only int64 array of eigenvalues in canonical
+    character order.  `eigenvalues`, the multiset keyed by value in
+    descending order, and `by_character`, which maps every character index
+    to its eigenvalue, are derived from it on first read.  The constructor
+    takes the `by_character` mapping, covering every character of one group.
     """
 
-    by_character: dict[CharacterIndex, int]
-    eigenvalues: dict[int, int] = field(init=False, compare=False, repr=False)
+    def __init__(self, by_character: dict[CharacterIndex, int]) -> None:
+        characters = list(by_character)
+        group = characters[0].group if characters else None
+        if group is None or len(characters) != group.order or any(
+            index.group != group for index in characters
+        ):
+            raise ValueError("a spectrum needs one eigenvalue for every character of one group")
+        rows = np.array([index.indices for index in characters], dtype=np.intp)
+        values = np.empty(group.order, dtype=np.int64)
+        values[np.ravel_multi_index(tuple(rows.T), group.factors)] = list(by_character.values())
+        self._init(group, values)
 
-    def __post_init__(self) -> None:
-        counts = Counter(self.by_character.values())
-        ordered = {value: counts[value] for value in sorted(counts, reverse=True)}
-        object.__setattr__(self, "eigenvalues", ordered)
+    @classmethod
+    def _from_values(cls, group: AbelianGroup, values: np.ndarray) -> Spectrum:
+        spectrum = cls.__new__(cls)
+        spectrum._init(group, values)
+        return spectrum
+
+    def _init(self, group: AbelianGroup, values: np.ndarray) -> None:
+        values.setflags(write=False)
+        self.__dict__.update(group=group, values=values)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"Spectrum is immutable; cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return self.group == other.group and np.array_equal(self.values, other.values)
+
+    def __repr__(self) -> str:
+        return f"Spectrum({self.eigenvalues}@{self.group})"
+
+    @cached_property
+    def eigenvalues(self) -> dict[int, int]:
+        distinct, counts = np.unique(self.values, return_counts=True)
+        return dict(zip(distinct[::-1].tolist(), counts[::-1].tolist()))
+
+    @cached_property
+    def by_character(self) -> dict[CharacterIndex, int]:
+        return dict(zip(_character_indices(self.group), self.values.tolist()))
 
     @property
     def distinct(self) -> tuple[int, ...]:
@@ -191,22 +230,32 @@ class Spectrum:
         return {"eigenvalues": [[value, mult] for value, mult in self.eigenvalues.items()]}
 
 
-def integral_spectrum(
-    group: AbelianGroup, connection_set: ConnectionSet, tol: float = INTEGRALITY_TOL
-) -> Spectrum:
-    """Evaluate every character sum and snap it to an integer.
+def integral_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> Spectrum:
+    """Evaluate every character sum as an exact integer.
 
-    Raises NonIntegralSpectrumError, naming the first offending character in
-    canonical order, when some sum is farther than `tol` from an integer
-    (equivalently, when the set is not power-closed).
+    The spectrum is integral exactly when the set is power-closed, and
+    is_power_closed decides it.  For a set that is not, raises
+    NonIntegralSpectrumError naming the first character in canonical order
+    whose sum is off an integer by more than INTEGRALITY_TOL.  A power-closed
+    set whose sums are that far off is a numeric fault: RuntimeError.
     """
-    values = _character_transform(group, _indicator(group, connection_set))
-    nearest = np.rint(values.real)
-    off = (np.abs(values.imag) > tol) | (np.abs(values.real - nearest) > tol)
-    if off.any():
-        first = int(np.argmax(off))
-        raise NonIntegralSpectrumError(_character_indices(group)[first], complex(values[first]))
-    return Spectrum(dict(zip(_character_indices(group), nearest.astype(np.int64).tolist())))
+    sums = _character_transform(group, _indicator(group, connection_set))
+    nearest = np.rint(sums.real)
+    residual = np.abs(sums - nearest)
+    # the empty set is power-closed; it needs no power-class table
+    if len(connection_set) and not is_power_closed(connection_set):
+        off = residual > INTEGRALITY_TOL
+        # some sum is not an integer; should rounding hide all of them, name the farthest
+        first = int(np.argmax(off) if off.any() else np.argmax(residual))
+        index = character_index(group, np.unravel_index(first, group.factors))
+        raise NonIntegralSpectrumError(index, complex(sums[first]))
+    if residual.max() > INTEGRALITY_TOL:
+        worst = int(np.argmax(residual))
+        raise RuntimeError(
+            f"internal error: character sum {complex(sums[worst])} of a power-closed set "
+            f"is {residual[worst]:.3g} off an integer"
+        )
+    return Spectrum._from_values(group, nearest.astype(np.int64))
 
 
 def delta(spectrum: Spectrum) -> int | None:
@@ -215,11 +264,8 @@ def delta(spectrum: Spectrum) -> int | None:
     Returns None when there is a single distinct eigenvalue (a graph with no
     transfer time; never 0, so pi/delta is always well defined when not None).
     """
-    distinct = spectrum.distinct
-    if len(distinct) < 2:
-        return None
-    top = distinct[0]
-    return math.gcd(*(top - value for value in distinct[1:]))
+    values = spectrum.values
+    return int(np.gcd.reduce(values.max() - values)) or None
 
 
 def odd_eigenvalue_exists(group: AbelianGroup, connection_set: ConnectionSet) -> bool:

@@ -19,8 +19,8 @@ from .groups import (
     AbelianGroup,
     ConnectionSet,
     GroupElement,
-    _canonical_elements,
     _require_bound,
+    _tables,
 )
 from .spectra import _character_transform, _indicator
 from .spectra import character_table  # noqa: F401  (perfbench/tracer.py rebinds walk.character_table)
@@ -49,13 +49,10 @@ class AmbiguousTransferError(Exception):
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _difference_index(group: AbelianGroup) -> np.ndarray:
     """Index table D[g, h] = canonical index of h - g."""
-    coords = np.array([g.coords for g in _canonical_elements(group)], dtype=np.int64)
-    mods = np.array(group.factors, dtype=np.int64)
-    diff = (coords[None, :, :] - coords[:, None, :]) % mods
-    weights = np.ones(len(group.factors), dtype=np.int64)
-    for i in range(len(group.factors) - 2, -1, -1):
-        weights[i] = weights[i + 1] * group.factors[i + 1]
-    table = diff @ weights
+    coords = _tables(group).coords
+    table = np.ravel_multi_index(
+        tuple(row[None, :] - row[:, None] for row in coords), group.factors, mode="wrap"
+    )
     table.setflags(write=False)
     return table
 
@@ -91,7 +88,7 @@ class TransitionMatrix:
     def to_json_dict(self) -> dict:
         return {
             "time": self.time,
-            "vertices": [list(g.coords) for g in _canonical_elements(self.group)],
+            "vertices": _tables(self.group).coords.T.tolist(),
             "entries": [[[z.real, z.imag] for z in row] for row in self.entries],
         }
 

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
-from cayleypst import ConnectionSet, parse_group, power_class, two_part
+from cayleypst import (
+    ConnectionSet,
+    GroupMismatchError,
+    integral_spectrum,
+    parse_group,
+    power_class,
+    two_part,
+    unique_involution,
+)
 
 
 def group(spec):
@@ -152,3 +163,101 @@ def brute_transfer_sets(g):
             found.append((len(members), keys, ConnectionSet(g, members)))
     found.sort(key=lambda item: item[:2])
     return [c for _, _, c in found]
+
+
+def frozenset_connection_set(g, elements, strip_identity):
+    """Members' indices, elements and loop flag the way sets were built from a frozenset.
+
+    The elements are collected into a set, bound to `g` one by one and
+    validated element-wise; raises what that construction raised.
+    """
+    members = set(elements)
+    loops = False
+    if strip_identity:
+        loops = g.identity in members
+        members.discard(g.identity)
+    for x in members:
+        if x.group != g:
+            raise GroupMismatchError(f"element {x!r} is not bound to {g}")
+    if g.identity in members:
+        raise ValueError(
+            "identity may not appear in a connection set; "
+            "use ConnectionSet.from_elements to strip loops"
+        )
+    unpaired = [x for x in members if -x not in members]
+    if unpaired:
+        first = min(unpaired, key=g.index_of)
+        raise ValueError(f"set is not inverse-closed: missing inverse of {first!r}")
+    return sorted(g.index_of(x) for x in members), frozenset(members), loops
+
+
+def loop_character_criterion(g, c):
+    """The transfer-phase identity checked character by character, with the sign at a."""
+    spectrum = integral_spectrum(g, c)
+    if g.d == 0:
+        return False
+    involution = unique_involution(g)
+    distinct = sorted(set(spectrum.by_character.values()), reverse=True)
+    if len(distinct) < 2:
+        return False
+    gap = math.gcd(*(distinct[0] - value for value in distinct[1:]))
+    for index, eigenvalue in spectrum.by_character.items():
+        difference = len(c) - eigenvalue
+        if difference % gap:
+            return False
+        wanted = -1 if (difference // gap) % 2 else 1
+        parity = 0
+        for j, x, n in zip(index.indices, involution.coords, g.factors):
+            # involution coordinates are 0 or n/2, so 2*j*x is a multiple of n
+            parity += (2 * j * x) // n
+        if (-1 if parity % 2 else 1) != wanted:
+            return False
+    return True
+
+
+def _scalar_json(value) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite float {value!r} in JSON output")
+        return f"{value:.17g}"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    raise TypeError(f"cannot serialize {type(value).__name__} as a JSON scalar")
+
+
+def _is_scalar_json(value) -> bool:
+    return value is None or isinstance(value, (bool, int, float, str))
+
+
+def recursive_dumps(value, _level: int = 0) -> str:
+    """The deterministic JSON renderer with one recursive call per value, as first written."""
+    if _is_scalar_json(value):
+        return _scalar_json(value)
+    pad = "  " * _level
+    inner = "  " * (_level + 1)
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+        if not items:
+            return "[]"
+        if all(_is_scalar_json(item) for item in items):
+            return "[" + ", ".join(_scalar_json(item) for item in items) + "]"
+        body = ",\n".join(inner + recursive_dumps(item, _level + 1) for item in items)
+        return "[\n" + body + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            parts.append(f"{inner}{json.dumps(key)}: {recursive_dumps(item, _level + 1)}")
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")

@@ -273,3 +273,30 @@ def test_classes_command_matches_list_power_classes(capsys):
         for cls in list_power_classes(g)
     ]
     assert json.loads(out)["classes"] == expected
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("spectrum", "-g", "Z4", "-c", "{1,3}", "--bogus"), "unrecognized arguments: --bogus"),
+        (("spectrum", "-c", "{1,3}"), "the following arguments are required: -g/--group"),
+        (("spectrum", "-g", "Z5", "-c", "{1,4}", "--tol", "0.9"), "unrecognized arguments: --tol 0.9"),
+    ],
+    ids=["unknown_flag", "missing_group", "spectrum_tol"],
+)
+def test_usage_errors_exit_2_with_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_non_power_closed_spectrum_exits_1_naming_the_character(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "-g", "Z5", "-c", "{1,4}")
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "error: non-integral spectrum: character (1,) gives non-integral eigenvalue 0.618033989"
+    )
+    assert err.count("\n") == 1

@@ -1,8 +1,14 @@
 """Group arithmetic, structural elements, power classes, and parsing."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleypst import (
+    AbelianGroup,
     ConnectionSet,
     GroupMismatchError,
     element_order,
@@ -390,3 +396,21 @@ def test_parse_connection_set():
         parse_connection_set(g, "{(1,0}")
     with pytest.raises(ValueError):
         parse_connection_set(z4, "{1}")  # not inverse-closed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(2, 40), min_size=1, max_size=3),
+    st.lists(st.integers(2, 40), min_size=1, max_size=3),
+)
+def test_group_equality_and_hash_follow_factors_only(first, second):
+    g, h = AbelianGroup(tuple(first)), AbelianGroup(list(second))
+    assert (g == h) is (first == second)
+    assert (g != h) is (first != second)
+    twin = AbelianGroup(tuple(first))
+    assert g == twin and hash(g) == hash(twin) == hash(tuple(first))
+    for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert copied == g and hash(copied) == hash(g) and {copied: 1}[g] == 1
+    assert g != tuple(first) and g != str(g)
+    # elements of equal groups are equal; the groups need not be the same object
+    assert g.element([1] * g.rank) == twin.element([1] * g.rank)

@@ -29,6 +29,7 @@ from conftest import (
     brute_power_classes,
     brute_transfer_sets,
     elem,
+    frozenset_connection_set,
     group,
 )
 
@@ -256,3 +257,50 @@ def test_every_cache_is_bounded():
         for name in caches:
             maxsize = getattr(module, name).cache_info().maxsize
             assert maxsize is not None and maxsize >= 512, f"{module.__name__}.{name}"
+
+
+@st.composite
+def raw_connection_inputs(draw):
+    """A group and a list of elements: duplicates, the identity and one foreign element allowed."""
+    g = draw(factor_lists(48))
+    picked = draw(st.lists(st.integers(0, g.order - 1), max_size=2 * g.order))
+    elements = [g.element_at(i) for i in picked]
+    if draw(st.booleans()):
+        # close under inverses most of the time, so validation passes as well as fails
+        elements += [-x for x in elements]
+    foreign = draw(st.sampled_from([None, "element", "identity"]))
+    if foreign is not None:
+        other = AbelianGroup((*g.factors, 2)) if draw(st.booleans()) else AbelianGroup((g.order + 1,))
+        stranger = other.identity if foreign == "identity" else other.element_at(other.order - 1)
+        elements.insert(draw(st.integers(0, len(elements))), stranger)
+    return g, elements
+
+
+def outcome(build):
+    try:
+        return build()
+    except (ValueError, GroupMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_connection_inputs(), st.booleans())
+def test_sets_from_coordinates_match_the_frozenset_route(case, strip_identity):
+    g, elements = case
+    build = ConnectionSet.from_elements if strip_identity else ConnectionSet
+    built = outcome(lambda: build(g, iter(elements)))
+    expected = outcome(lambda: frozenset_connection_set(g, elements, strip_identity))
+    if isinstance(built, ConnectionSet):
+        assert (built.indices.tolist(), built.elements, built.loops_allowed) == expected
+    else:
+        assert built == expected
+
+
+def test_sets_from_elements_build_no_elements_until_read():
+    g = group("Z4xZ3")
+    c = ConnectionSet.from_elements(g, [g.identity, elem(g, 1, 1), elem(g, 3, 2), elem(g, 1, 1)])
+    assert c._elements is None
+    assert c.indices.tolist() == [4, 11] and c.loops_allowed is True
+    assert c.elements == {elem(g, 1, 1), elem(g, 3, 2)}
+    with pytest.raises(GroupMismatchError, match=r"element \(0\)@Z5 is not bound to Z4xZ3"):
+        ConnectionSet.from_elements(g, [group("Z5").identity])

@@ -1,10 +1,14 @@
 """The characterization engine: verdicts, reductions, criteria, enumeration."""
 
 import math
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cayleypst import (
+    AbelianGroup,
     CapExceededError,
     ConnectionSet,
     CrossValidationError,
@@ -17,13 +21,21 @@ from cayleypst import (
     detect_pst_numeric,
     enumerate_pst_sets,
     integral_spectrum,
+    list_power_classes,
     parity_report,
     reduce_to_4m,
     sylow2_cyclic,
     unique_involution,
 )
 import cayleypst.pst
-from conftest import class_unions, cset, group, z433_transfer_sets
+from conftest import (
+    class_unions,
+    cset,
+    group,
+    loop_character_criterion,
+    random_class_union,
+    z433_transfer_sets,
+)
 
 
 def test_reference_36_vertex_sets_have_transfer(z433_sets):
@@ -266,3 +278,44 @@ def test_scan_agrees_compares_verdict_target_and_scope():
     assert scan_agrees(negative, hit) is False
     assert scan_agrees(out_of_scope, None) is None
     assert scan_agrees(out_of_scope, hit) is None
+
+
+@st.composite
+def groups_by_two_part(draw):
+    """Groups of order <= 180 with d = 0, 1, 2 or 3; a few have a non-cyclic Sylow-2-subgroup."""
+    factors = draw(st.lists(st.sampled_from([3, 5, 7, 9, 15]), max_size=2))
+    d = draw(st.integers(0, 3))
+    if d:
+        slot = draw(st.integers(0, len(factors)))
+        if slot == len(factors):
+            factors.append(2**d)
+        else:
+            factors[slot] *= 2**d
+    if draw(st.integers(0, 5)) == 0:
+        factors.append(2)
+    return AbelianGroup(tuple(factors or [3]))
+
+
+def criterion_outcome(criterion, g, c):
+    try:
+        return criterion(g, c)
+    except (NonIntegralSpectrumError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups_by_two_part(), st.integers(0, 2**32 - 1))
+def test_vectorized_character_criterion_matches_the_character_loop(g, seed):
+    assume(g.order <= 180)
+    rng = random.Random(seed)
+    candidates = [random_class_union(g, rng) for _ in range(3)]
+    # one inverse pair out of a class of more than two elements: not power-closed
+    cls = max(list_power_classes(g), key=len)
+    if len(cls) > 2:
+        x = min(cls, key=lambda y: y.coords)
+        candidates.append(ConnectionSet(g, [x, -x]))
+    if sylow2_cyclic(g) and len(list_power_classes(g)) <= 8:
+        candidates += enumerate_pst_sets(g, cross_validate=False)
+    for c in candidates:
+        expected = criterion_outcome(loop_character_criterion, g, c)
+        assert criterion_outcome(character_criterion, g, c) == expected, c

@@ -1,7 +1,10 @@
 """Characters, integer spectra, the integrality criterion, and delta."""
 
+import copy
 import math
+import pickle
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -246,3 +249,61 @@ def test_fft_route_matches_table_property(g, seed):
     c = random_class_union(g, random.Random(seed))
     expected = np.rint((table @ _indicator(g, c)).real).astype(int).tolist()
     assert list(integral_spectrum(g, c).by_character.values()) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(2, 12), min_size=1, max_size=3).filter(lambda fs: math.prod(fs) <= 96),
+    st.integers(0, 2**32 - 1),
+)
+def test_array_spectrum_matches_the_character_dict(factors, seed):
+    g = AbelianGroup(tuple(factors))
+    c = random_class_union(g, random.Random(seed))
+    spectrum = integral_spectrum(g, c)
+    table = character_table.__wrapped__(g)
+    sums = np.rint((table @ _indicator(g, c)).real).astype(int).tolist()
+    expected = dict(zip(all_character_indices(g), sums))
+    assert spectrum.by_character == expected
+    assert list(spectrum.by_character) == all_character_indices(g)
+    assert spectrum.values.tolist() == sums and not spectrum.values.flags.writeable
+    counts = Counter(sums)
+    assert list(spectrum.eigenvalues.items()) == [(v, counts[v]) for v in sorted(counts, reverse=True)]
+    assert all(type(v) is int for pair in spectrum.eigenvalues.items() for v in pair)
+    from_dict = Spectrum(dict(reversed(expected.items())))
+    assert from_dict == spectrum and from_dict.eigenvalues == spectrum.eigenvalues
+    assert from_dict.by_character == expected
+    gaps = [max(sums) - v for v in counts if v != max(sums)]
+    assert delta(spectrum) == (math.gcd(*gaps) if gaps else None)
+
+
+def test_spectrum_equality_copies_and_bad_mappings():
+    z4 = group("Z4")
+    s = integral_spectrum(z4, cset(z4, [(1,), (3,)]))
+    assert s != integral_spectrum(z4, cset(z4, [(2,)]))
+    assert s != integral_spectrum(group("Z2xZ2"), cset(group("Z2xZ2"), [(0, 1), (1, 0)]))
+    assert pickle.loads(pickle.dumps(s)) == s and copy.deepcopy(s) == s
+    with pytest.raises(AttributeError):
+        s.values = None
+    with pytest.raises(ValueError):
+        s.values[0] = 7
+    partial = dict(list(s.by_character.items())[:3])
+    with pytest.raises(ValueError, match="every character"):
+        Spectrum(partial)
+    with pytest.raises(ValueError, match="every character"):
+        Spectrum({})
+
+
+def test_integrality_is_decided_by_power_closure(monkeypatch):
+    z5 = group("Z5")
+    split = cset(z5, [(1,), (4,)])
+    # no tolerance, however loose, makes a set that is not power-closed integral
+    monkeypatch.setattr(spectra, "INTEGRALITY_TOL", 0.9)
+    with pytest.raises(NonIntegralSpectrumError):
+        integral_spectrum(z5, split)
+    monkeypatch.undo()
+    # a power-closed set whose sums come out off an integer is a numeric fault
+    closed = cset(z5, [(1,), (2,), (3,), (4,)])
+    exact = spectra._character_transform
+    monkeypatch.setattr(spectra, "_character_transform", lambda g, v: exact(g, v) + 1e-3)
+    with pytest.raises(RuntimeError, match="internal error"):
+        integral_spectrum(z5, closed)
