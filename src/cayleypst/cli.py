@@ -19,8 +19,8 @@ import numpy as np
 from .groups import (
     AbelianGroup,
     ConnectionSet,
+    _tables,
     check_order,
-    element_order,
     parse_connection_set,
     parse_element,
     parse_group,
@@ -62,14 +62,21 @@ def parse_time_literal(text: str) -> tuple[str, float]:
         label = ("pi" if numerator == 1 else f"{numerator}pi") + (
             "" if denominator == 1 else f"/{denominator}"
         )
-        return label, numerator * math.pi / denominator
-    try:
-        value = float(stripped)
-    except ValueError:
-        raise ValueError(
-            f"bad time literal {text!r}; use a float or a pi fraction like pi/2"
-        ) from None
-    return f"{value:.17g}", value
+        try:
+            value = numerator * math.pi / denominator
+        except OverflowError:
+            value = math.inf
+    else:
+        try:
+            value = float(stripped)
+        except ValueError:
+            raise ValueError(
+                f"bad time literal {text!r}; use a float or a pi fraction like pi/2"
+            ) from None
+        label = f"{value:.17g}"
+    if not math.isfinite(value):
+        raise ValueError(f"bad time literal {text!r}; the time must be a finite float")
+    return label, value
 
 
 def _group(args) -> AbelianGroup:
@@ -130,7 +137,7 @@ def _cmd_check(args) -> int:
     }
     cross_agrees = None
     if args.cross_validate:
-        detection = detect_pst_numeric(group, cset, math.pi / 2, args.tol)
+        detection = detect_pst_numeric(group, cset, math.pi / 2)
         fired = detection is not None
         cross_agrees = scan_agrees(report, detection)
         document["cross_validation"] = {
@@ -190,7 +197,7 @@ def _cmd_enumerate(args) -> int:
     cross = args.cross_validate
     if cross is None:
         cross = group.order <= CROSS_VALIDATE_MAX_ORDER
-    sets = enumerate_pst_sets(group, cross, detect_tol=args.tol)
+    sets = enumerate_pst_sets(group, cross)
     entries = [
         {
             "connection_set": _coords_list(cset),
@@ -210,6 +217,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_classes(args) -> int:
     group = _group(args)
+    orders = _tables(group).order
     classes = []
     for members in power_class_indices(group):
         # members are sorted by index, which is lexicographic coordinate order
@@ -217,7 +225,7 @@ def _cmd_classes(args) -> int:
         classes.append(
             {
                 "key": coords[0],
-                "member_order": element_order(group, group.element_at(members[0])),
+                "member_order": int(orders[members[0]]),
                 "size": len(coords),
                 "elements": coords,
             }
@@ -229,12 +237,9 @@ def _cmd_classes(args) -> int:
 
 def _edges(group: AbelianGroup, cset: ConnectionSet) -> list[tuple[int, int]]:
     """Pairs g < h of canonical vertex indices with h - g in C, sorted; O(|G| * |C|)."""
-    grid = np.indices(group.factors).reshape(group.rank, group.order)
-    steps = np.array([c.coords for c in cset], dtype=np.intp).reshape(len(cset), group.rank)
+    coords = _tables(group).coords
     neighbours = np.ravel_multi_index(
-        tuple(grid[i][:, None] + steps[:, i] for i in range(group.rank)),
-        group.factors,
-        mode="wrap",
+        tuple(row[:, None] + row[cset.indices] for row in coords), group.factors, mode="wrap"
     )
     neighbours.sort(axis=1)
     sources, slots = np.nonzero(neighbours > np.arange(group.order)[:, None])
@@ -249,18 +254,19 @@ def _cmd_export(args) -> int:
         rows = [" ".join(str(int(x)) for x in row) for row in adjacency]
         _emit("\n".join(rows) + "\n", args)
         return 0
-    vertices = list(group.elements())
+    vertices = _tables(group).coords.T.tolist()
     edges = _edges(group, cset)
     if args.format == "dot":
+        labels = ["(" + ",".join(map(str, v)) + ")" for v in vertices]
         lines = ["graph cayley {"]
-        lines.extend(f'  "{vertices[g]}" -- "{vertices[h]}";' for g, h in edges)
+        lines.extend(f'  "{labels[g]}" -- "{labels[h]}";' for g, h in edges)
         lines.append("}")
         _emit("\n".join(lines) + "\n", args)
         return 0
     document = {
         "group": str(group),
         "set": _coords_list(cset),
-        "edges": [[list(vertices[g].coords), list(vertices[h].coords)] for g, h in edges],
+        "edges": [[vertices[g], vertices[h]] for g, h in edges],
     }
     _emit(document, args)
     return 0
@@ -305,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the numeric row scan at pi/2 and report agreement",
     )
-    check.add_argument("--tol", type=float, default=1e-9, help="numeric detection tolerance")
     check.add_argument(
         "--fail-on-no-pst",
         action="store_true",
@@ -337,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="check every candidate against the numeric scan (default: on for order <= 128)",
     )
-    enum.add_argument("--tol", type=float, default=1e-9, help="numeric detection tolerance")
     out_arg(enum)
     enum.set_defaults(handler=_cmd_enumerate)
 

@@ -298,7 +298,6 @@ def enumerate_pst_sets(
     cross_validate: bool | None = None,
     *,
     class_cap: int = DEFAULT_CLASS_CAP,
-    detect_tol: float = 1e-9,
 ) -> list[ConnectionSet]:
     """Census of every power-closed connection set that admits transfer.
 
@@ -334,7 +333,7 @@ def enumerate_pst_sets(
         candidate = ConnectionSet._from_indices(group, np.sort(np.concatenate([empty, *chosen])))
         report = characterize_pst(group, candidate)
         if cross_validate:
-            detection = detect_pst_numeric(group, candidate, TRANSFER_TIME, detect_tol)
+            detection = detect_pst_numeric(group, candidate, TRANSFER_TIME)
             if not scan_agrees(report, detection):
                 raise CrossValidationError(candidate, report, detection)
         if report.verdict is Verdict.PST:

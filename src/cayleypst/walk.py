@@ -1,14 +1,13 @@
 """Continuous-time quantum walk numerics for translation graphs.
 
 Two independent routes to the transition matrix exp(i*t*A): a closed form
-through the character decomposition, and a dense scaling-and-squaring series
-on the adjacency matrix.  The dense route shares no character machinery and
+through the character decomposition, and a dense symmetric eigendecomposition
+of the adjacency matrix.  The dense route shares no character machinery and
 serves as the low-tech cross-check for everything else.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .groups import (
     GROUP_CACHE_SIZE,
+    MAX_ORDER,
     AbelianGroup,
     ConnectionSet,
     GroupElement,
@@ -26,7 +26,6 @@ from .spectra import _character_transform, _indicator
 from .spectra import character_table  # noqa: F401  (perfbench/tracer.py rebinds walk.character_table)
 
 DENSE_ORDER_CAP = 512
-_SERIES_TERMS = 20
 
 
 class CapExceededError(ValueError):
@@ -48,7 +47,12 @@ class AmbiguousTransferError(Exception):
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _difference_index(group: AbelianGroup) -> np.ndarray:
-    """Index table D[g, h] = canonical index of h - g."""
+    """Index table D[g, h] = canonical index of h - g; its |G|^2 entries are capped at MAX_ORDER."""
+    if group.order**2 > MAX_ORDER:
+        raise CapExceededError(
+            f"{group} has {group.order} elements, too many for a |G| x |G| matrix: "
+            f"|G|^2 is above the cap of {MAX_ORDER} (cayleypst.groups.MAX_ORDER)"
+        )
     coords = _tables(group).coords
     table = np.ravel_multi_index(
         tuple(row[None, :] - row[:, None] for row in coords), group.factors, mode="wrap"
@@ -122,25 +126,16 @@ def dense_expm(
     t: float,
     cap: int = DENSE_ORDER_CAP,
 ) -> TransitionMatrix:
-    """Independent dense route: scaling and squaring of a truncated series.
+    """Independent dense route: exp(i*t*A) from the eigendecomposition of A.
 
-    The adjacency matrix is scaled so that degree*|t|/2**s <= 1/2, run through
-    a series truncated at order 20, and squared back s times.  No character
-    code is involved; this is the cross-validation oracle.
+    A is real symmetric, so A = V diag(w) V^T with V orthogonal and
+    exp(i*t*A) = V diag(exp(i*t*w)) V^T.  No character code is involved; this
+    is the cross-validation oracle.
     """
     if group.order > cap:
         raise CapExceededError(f"|{group}| = {group.order} exceeds the dense cap {cap}")
-    adjacency = adjacency_matrix(group, connection_set).astype(np.complex128)
-    bound = len(connection_set) * abs(t)
-    squarings = 0 if bound <= 0.5 else math.ceil(math.log2(bound / 0.5))
-    scaled = (1j * t / (1 << squarings)) * adjacency
-    eye = np.eye(group.order, dtype=np.complex128)
-    result = eye.copy()
-    for k in range(_SERIES_TERMS, 0, -1):
-        result = eye + (scaled @ result) / k
-    for _ in range(squarings):
-        result = result @ result
-    return TransitionMatrix(group, float(t), result)
+    values, vectors = np.linalg.eigh(adjacency_matrix(group, connection_set))
+    return TransitionMatrix(group, float(t), (vectors * np.exp(1j * t * values)) @ vectors.T)
 
 
 @dataclass(frozen=True)

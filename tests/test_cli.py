@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ def test_parse_time_literal():
         parse_time_literal("pie")
     with pytest.raises(ValueError):
         parse_time_literal("pi/0")
+    for text in ("nan", "inf", "-inf", "1e400", "1" + "0" * 400 + "pi", "pi/1" + "0" * 400):
+        with pytest.raises(ValueError, match="the time must be a finite float"):
+            parse_time_literal(text)
 
 
 def test_check_reference_set_from_file(capsys, tmp_path):
@@ -203,6 +207,17 @@ def test_input_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("time", ["nan", "1e400", "inf", "-inf"])
+def test_non_finite_times_exit_2_with_one_line(capsys, time):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "walk", "-g", "Z2", "-c", "{1}", f"--time={time}", "--target", "1"
+        )
+    assert (code, out) == (2, "")
+    assert err == f"error: bad time literal {time!r}; the time must be a finite float\n"
+
+
 def test_missing_set_file_exits_2(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "check", "-g", "Z4", "-c", f"@{tmp_path}/absent.json")
     assert code == 2
@@ -241,6 +256,8 @@ def test_edges_match_dense_upper_triangle(g, c):
         ("enumerate", "-g", "Z4194305"),
         ("classes", "-g", "Z4194305"),
         ("export", "-g", "Z4194305", "-c", "{}"),
+        # |G|^2 above the cap: the |G| x |G| adjacency matrix is refused
+        ("export", "-g", "Z4096", "-c", "{1,4095}", "--format", "adjacency"),
     ],
 )
 def test_groups_above_the_cap_exit_2_with_one_line(capsys, argv):
@@ -281,8 +298,10 @@ def test_classes_command_matches_list_power_classes(capsys):
         (("spectrum", "-g", "Z4", "-c", "{1,3}", "--bogus"), "unrecognized arguments: --bogus"),
         (("spectrum", "-c", "{1,3}"), "the following arguments are required: -g/--group"),
         (("spectrum", "-g", "Z5", "-c", "{1,4}", "--tol", "0.9"), "unrecognized arguments: --tol 0.9"),
+        (("check", "-g", "Z6", "-c", "{1,5}", "--tol", "1e-9"), "unrecognized arguments: --tol 1e-9"),
+        (("enumerate", "-g", "Z4", "--tol", "1e-9"), "unrecognized arguments: --tol 1e-9"),
     ],
-    ids=["unknown_flag", "missing_group", "spectrum_tol"],
+    ids=["unknown_flag", "missing_group", "spectrum_tol", "check_tol", "enumerate_tol"],
 )
 def test_usage_errors_exit_2_with_one_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:

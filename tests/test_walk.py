@@ -1,4 +1,4 @@
-"""Walk numerics: two production routes, an eigensolver cross-check, detection."""
+"""Walk numerics: two production routes, a truncated-series cross-check, detection."""
 
 import math
 import random
@@ -24,10 +24,23 @@ from cayleypst.walk import _identity_row
 from conftest import class_unions, cset, elem, group, random_class_union
 
 
-def expm_via_eigensolver(a, t):
-    """Third, test-only route: eigendecomposition of the symmetric matrix."""
-    w, v = np.linalg.eigh(a)
-    return (v * np.exp(1j * t * w)) @ v.conj().T
+def expm_via_series(a, t):
+    """Third, test-only route: scaling and squaring of a truncated Taylor series.
+
+    The matrix is scaled so that degree*|t|/2**s <= 1/2, run through the series
+    truncated at order 20, and squared back s times.  It shares nothing with
+    the eigendecomposition in dense_expm or with the character route.
+    """
+    bound = int(a.sum(axis=1).max(initial=0)) * abs(t)
+    squarings = 0 if bound <= 0.5 else math.ceil(math.log2(bound / 0.5))
+    scaled = (1j * t / (1 << squarings)) * a
+    eye = np.eye(len(a), dtype=np.complex128)
+    result = eye.copy()
+    for k in range(20, 0, -1):
+        result = eye + (scaled @ result) / k
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 def test_time_zero_is_identity():
@@ -71,9 +84,21 @@ def test_two_routes_and_eigensolver_agree(spec):
         t = rng.uniform(0, 2 * math.pi)
         u_char = transition_matrix(g, c, t).entries
         u_dense = dense_expm(g, c, t).entries
-        u_eigh = expm_via_eigensolver(adjacency_matrix(g, c).astype(float), t)
+        u_series = expm_via_series(adjacency_matrix(g, c), t)
         assert np.max(np.abs(u_char - u_dense)) < 1e-9
-        assert np.max(np.abs(u_char - u_eigh)) < 1e-9
+        assert np.max(np.abs(u_char - u_series)) < 1e-9
+
+
+def test_dense_route_on_a_degenerate_spectrum():
+    # the 7-cube: eigenvalues 7 - 2k with multiplicities C(7, k), so eigh
+    # returns an arbitrary basis of each eigenspace; exp(itA) must not depend on it
+    g = group("x".join(["Z2"] * 7))
+    c = cset(g, [tuple(int(i == j) for i in range(7)) for j in range(7)])
+    assert len(np.unique(np.round(np.linalg.eigvalsh(adjacency_matrix(g, c))))) == 8
+    u_dense = dense_expm(g, c, 10.0).entries
+    u_char = transition_matrix(g, c, 10.0).entries
+    assert np.max(np.abs(u_dense - u_char)) < 1e-9
+    assert np.max(np.abs(u_dense - expm_via_series(adjacency_matrix(g, c), 10.0))) < 1e-9
 
 
 @pytest.mark.parametrize("spec", ["Z12", "Z2xZ9", "Z8xZ3"])
@@ -181,6 +206,24 @@ def test_dense_cap():
     c = cset(g, [(4,)])
     with pytest.raises(CapExceededError):
         dense_expm(g, c, 1.0, cap=4)
+
+
+def test_square_matrices_are_capped_at_max_order_entries():
+    z4096 = group("Z4096")
+    c = cset(z4096, [(1,), (4095,)])
+    for build in (
+        lambda: adjacency_matrix(z4096, c),
+        lambda: transition_matrix(z4096, c, 1.0),
+        lambda: dense_expm(z4096, c, 1.0, cap=z4096.order),
+    ):
+        with pytest.raises(CapExceededError, match="above the cap of 4194304"):
+            build()
+    # the row routes stay O(|G|) and are not capped
+    assert detect_pst_numeric(z4096, cset(z4096, [(1024,), (3072,)]), math.pi / 2) is not None
+    z2048 = group("Z2048")
+    u = transition_matrix(z2048, cset(z2048, [(512,), (1536,)]), math.pi / 2).entries
+    assert u.shape == (2048, 2048)
+    assert abs(abs(u[5, 1029]) - 1) < 1e-9
 
 
 def test_transition_matrix_json_shape():
