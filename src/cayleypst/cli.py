@@ -37,7 +37,6 @@ from .pst import (
 )
 from .spectra import NonIntegralSpectrumError, integral_spectrum
 from .walk import (
-    AmbiguousTransferError,
     adjacency_matrix,
     detect_pst_numeric,
     transition_amplitude,
@@ -250,8 +249,8 @@ def _cmd_export(args) -> int:
     group = _group(args)
     cset = _load_connection_set(group, args.connection_set)
     if args.format == "adjacency":
-        adjacency = adjacency_matrix(group, cset)
-        rows = [" ".join(str(int(x)) for x in row) for row in adjacency]
+        adjacency = adjacency_matrix(group, cset).astype(np.int64).tolist()
+        rows = [" ".join(map(str, row)) for row in adjacency]
         _emit("\n".join(rows) + "\n", args)
         return 0
     vertices = _tables(group).coords.T.tolist()
@@ -373,7 +372,7 @@ def main(argv=None) -> int:
     except NonIntegralSpectrumError as exc:
         print(f"error: non-integral spectrum: {exc}", file=sys.stderr)
         return 1
-    except (AmbiguousTransferError, CrossValidationError) as exc:
+    except CrossValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -114,7 +114,7 @@ class AbelianGroup:
 
     def elements(self) -> Iterator[GroupElement]:
         """All elements in canonical (lexicographic coordinate) order."""
-        return iter(_canonical_elements(self))
+        return _canonical_elements(self)
 
     def index_of(self, g: GroupElement) -> int:
         """Position of g in the canonical element order (its mixed-radix value)."""
@@ -228,9 +228,8 @@ def check_order(group: AbelianGroup) -> None:
         )
 
 
-@lru_cache(maxsize=GROUP_CACHE_SIZE)
-def _canonical_elements(group: AbelianGroup) -> tuple[GroupElement, ...]:
-    return tuple(
+def _canonical_elements(group: AbelianGroup) -> Iterator[GroupElement]:
+    return (
         _element(group, coords)
         for coords in itertools.product(*(range(n) for n in group.factors))
     )

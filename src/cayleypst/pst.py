@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (
+    MAX_ORDER,
     AbelianGroup,
     ConnectionSet,
     GroupElement,
@@ -33,7 +34,6 @@ from .walk import CapExceededError, detect_pst_numeric
 
 TRANSFER_TIME = math.pi / 2
 _TIME_LABEL = "pi/2"
-DEFAULT_CLASS_CAP = 22
 CROSS_VALIDATE_MAX_ORDER = 128
 
 
@@ -47,7 +47,7 @@ class CrossValidationError(Exception):
     """The structural verdict and the numeric row scan disagree.
 
     Carries the offending connection set; this should never fire and means a
-    genuine bug (or a broken tolerance) somewhere.
+    genuine bug somewhere.
     """
 
     def __init__(self, connection_set: ConnectionSet, report: "PstReport", detection):
@@ -296,8 +296,6 @@ def parity_report(group: AbelianGroup, connection_set: ConnectionSet) -> ParityR
 def enumerate_pst_sets(
     group: AbelianGroup,
     cross_validate: bool | None = None,
-    *,
-    class_cap: int = DEFAULT_CLASS_CAP,
 ) -> list[ConnectionSet]:
     """Census of every power-closed connection set that admits transfer.
 
@@ -306,14 +304,16 @@ def enumerate_pst_sets(
     numeric row scan at time pi/2; any disagreement raises
     CrossValidationError carrying the counterexample.  When cross_validate is
     None it defaults to on for orders up to 128 and off (with a warning)
-    above.  Results are ordered by (size, lexicographic class keys).
+    above.  Results are ordered by (size, lexicographic class keys).  A group
+    with 2^classes above groups.MAX_ORDER raises CapExceededError.
     """
     if not sylow2_cyclic(group):
         raise ValueError(f"{group} is out of scope: its Sylow-2-subgroup is not cyclic")
     all_classes = power_class_indices(group)
-    if len(all_classes) > class_cap:
+    if 1 << len(all_classes) > MAX_ORDER:
         raise CapExceededError(
-            f"{group} has {len(all_classes)} power classes, above the cap {class_cap}"
+            f"{group} has {len(all_classes)} power classes, and 2^{len(all_classes)} is "
+            f"above the cap of {MAX_ORDER} (cayleypst.groups.MAX_ORDER)"
         )
     # the identity (index 0) is a class of its own; a class's key is its least index
     classes = [members for members in all_classes if members[0] != 0]

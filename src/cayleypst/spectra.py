@@ -83,14 +83,9 @@ def character_index(group: AbelianGroup, indices) -> CharacterIndex:
     return CharacterIndex(group, tuple(j % n for j, n in zip(raw, group.factors)))
 
 
-@lru_cache(maxsize=GROUP_CACHE_SIZE)
-def _character_indices(group: AbelianGroup) -> tuple[CharacterIndex, ...]:
-    return tuple(CharacterIndex(group, g.coords) for g in _canonical_elements(group))
-
-
 def all_character_indices(group: AbelianGroup) -> list[CharacterIndex]:
     """All |G| character indices in canonical order; the first is trivial."""
-    return list(_character_indices(group))
+    return [CharacterIndex(group, g.coords) for g in _canonical_elements(group)]
 
 
 def character_value(index: CharacterIndex, g: GroupElement) -> complex:
@@ -209,7 +204,7 @@ class Spectrum:
 
     @cached_property
     def by_character(self) -> dict[CharacterIndex, int]:
-        return dict(zip(_character_indices(self.group), self.values.tolist()))
+        return dict(zip(all_character_indices(self.group), self.values.tolist()))
 
     @property
     def distinct(self) -> tuple[int, ...]:

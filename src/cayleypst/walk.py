@@ -8,6 +8,7 @@ serves as the low-tech cross-check for everything else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,23 +27,12 @@ from .spectra import _character_transform, _indicator
 from .spectra import character_table  # noqa: F401  (perfbench/tracer.py rebinds walk.character_table)
 
 DENSE_ORDER_CAP = 512
+# An identity row is a unit vector, so at most one entry can reach 1 - _SCAN_TOL.
+_SCAN_TOL = 1e-9
 
 
 class CapExceededError(ValueError):
-    """A configured size cap was exceeded."""
-
-
-class AmbiguousTransferError(Exception):
-    """Several off-diagonal amplitudes are near modulus one: tolerance too loose."""
-
-    def __init__(self, group: AbelianGroup, targets: list[GroupElement], tol: float):
-        self.group = group
-        self.targets = targets
-        self.tol = tol
-        listing = ", ".join(str(t) for t in targets)
-        super().__init__(
-            f"{len(targets)} near-unit off-diagonal amplitudes in {group} at tol={tol}: {listing}"
-        )
+    """A size cap was exceeded."""
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -68,8 +58,16 @@ def adjacency_matrix(group: AbelianGroup, connection_set: ConnectionSet) -> np.n
 
 
 def _identity_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> np.ndarray:
-    """Row of the transition matrix at the identity vertex, via characters."""
-    eigenvalues = _character_transform(group, _indicator(group, connection_set))
+    """Row of the transition matrix at the identity vertex, via characters.
+
+    An inverse-closed set has real character sums; keeping their round-off
+    imaginary parts out of the phases keeps the row a unit vector at every t.
+    No eigenvalue exceeds |C| in modulus, so a finite t * |C| bounds every phase.
+    """
+    size = len(connection_set)
+    if not math.isfinite(t * size):
+        raise ValueError(f"time {t!r} is too large: the phase t * |C| overflows for |C| = {size}")
+    eigenvalues = _character_transform(group, _indicator(group, connection_set)).real
     return _character_transform(group, np.exp(1j * t * eigenvalues), inverse=True)
 
 
@@ -124,16 +122,16 @@ def dense_expm(
     group: AbelianGroup,
     connection_set: ConnectionSet,
     t: float,
-    cap: int = DENSE_ORDER_CAP,
 ) -> TransitionMatrix:
     """Independent dense route: exp(i*t*A) from the eigendecomposition of A.
 
     A is real symmetric, so A = V diag(w) V^T with V orthogonal and
     exp(i*t*A) = V diag(exp(i*t*w)) V^T.  No character code is involved; this
-    is the cross-validation oracle.
+    is the cross-validation oracle.  Groups above DENSE_ORDER_CAP vertices
+    raise CapExceededError.
     """
-    if group.order > cap:
-        raise CapExceededError(f"|{group}| = {group.order} exceeds the dense cap {cap}")
+    if group.order > DENSE_ORDER_CAP:
+        raise CapExceededError(f"|{group}| = {group.order} exceeds the dense cap {DENSE_ORDER_CAP}")
     values, vectors = np.linalg.eigh(adjacency_matrix(group, connection_set))
     return TransitionMatrix(group, float(t), (vectors * np.exp(1j * t * values)) @ vectors.T)
 
@@ -151,22 +149,17 @@ def detect_pst_numeric(
     group: AbelianGroup,
     connection_set: ConnectionSet,
     t: float,
-    tol: float = 1e-9,
 ) -> PstDetection | None:
     """Scan the identity row of U(t) for an off-diagonal amplitude of modulus ~1.
 
     Translation invariance makes the identity row representative of every
-    vertex.  Returns None when nothing reaches 1 - tol; raises
-    AmbiguousTransferError when more than one entry does (tolerance too loose).
+    vertex.  Returns the entry whose modulus reaches 1 - 1e-9, or None; the
+    row is a unit vector, so no two entries can.
     """
-    if not 0.0 < tol < 0.5:
-        raise ValueError(f"tolerance must lie in (0, 0.5), got {tol}")
     row = _identity_row(group, connection_set, t)
-    hits = (np.flatnonzero(np.abs(row[1:]) >= 1.0 - tol) + 1).tolist()
+    hits = (np.flatnonzero(np.abs(row[1:]) >= 1.0 - _SCAN_TOL) + 1).tolist()
     if not hits:
         return None
-    if len(hits) > 1:
-        raise AmbiguousTransferError(group, [group.element_at(i) for i in hits], tol)
     target = group.element_at(hits[0])
     return PstDetection(group.identity, target, complex(row[hits[0]]))
 
@@ -175,13 +168,10 @@ def is_periodic_numeric(
     group: AbelianGroup,
     connection_set: ConnectionSet,
     t: float,
-    tol: float = 1e-9,
 ) -> bool:
-    """True iff |U(t)| at the identity diagonal entry is within tol of 1.
+    """True iff |U(t)| at the identity diagonal entry is within 1e-9 of 1.
 
     By translation invariance this settles periodicity of every vertex.
     """
-    if not 0.0 < tol < 0.5:
-        raise ValueError(f"tolerance must lie in (0, 0.5), got {tol}")
     row = _identity_row(group, connection_set, t)
-    return bool(abs(row[0]) >= 1.0 - tol)
+    return bool(abs(row[0]) >= 1.0 - _SCAN_TOL)

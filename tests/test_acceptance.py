@@ -84,7 +84,7 @@ def sweep():
         for cset in class_unions(g):
             report = characterize_pst(g, cset)
             criterion = character_criterion(g, cset)
-            detection = detect_pst_numeric(g, cset, HALF_PI, 1e-6)
+            detection = detect_pst_numeric(g, cset, HALF_PI)
             records.append(SweepRecord(cset, report, criterion, detection))
         results[spec] = (g, records)
     elapsed = time.perf_counter() - started
@@ -280,7 +280,7 @@ def test_criterion_09_high_valuation_classes_periodic():
                 checked += 1
                 divisor = 1 << (k - 1)
                 spectrum = integral_spectrum(g, cset)
-                if not is_periodic_numeric(g, cset, HALF_PI, 1e-9):
+                if not is_periodic_numeric(g, cset, HALF_PI):
                     bad.append((spec, k, "not periodic"))
                 if any(value % divisor for value in spectrum.eigenvalues):
                     bad.append((spec, k, "eigenvalue not divisible"))

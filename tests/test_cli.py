@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cayleypst import adjacency_matrix
+from cayleypst import adjacency_matrix, parse_connection_set
 from cayleypst.cli import _edges, main, parse_time_literal
 from conftest import cset, group, z433_transfer_sets
 
@@ -139,6 +139,18 @@ def test_export_adjacency(capsys):
     assert out == "0 1 0 1\n1 0 1 0\n0 1 0 1\n1 0 1 0\n"
 
 
+@pytest.mark.parametrize(
+    "spec, literal",
+    [("Z4", "{1,3}"), ("Z12", "{}"), ("Z30xZ4", "{(1,0),(29,0),(0,2),(5,1),(25,3)}")],
+)
+def test_export_adjacency_matches_per_entry_formatting(capsys, spec, literal):
+    g = group(spec)
+    adjacency = adjacency_matrix(g, parse_connection_set(g, literal))
+    expected = "".join(" ".join(str(int(x)) for x in row) + "\n" for row in adjacency)
+    code, out, _ = run_cli(capsys, "export", "-g", spec, "-c", literal, "--format", "adjacency")
+    assert (code, out) == (0, expected)
+
+
 def test_export_dot(capsys):
     code, out, _ = run_cli(capsys, "export", "-g", "Z2", "-c", "{1}", "--format", "dot")
     assert code == 0
@@ -207,15 +219,19 @@ def test_input_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("time", ["nan", "1e400", "inf", "-inf"])
+@pytest.mark.parametrize("time", ["nan", "1e400", "inf", "-inf", "1e308"])
 def test_non_finite_times_exit_2_with_one_line(capsys, time):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(
-            capsys, "walk", "-g", "Z2", "-c", "{1}", f"--time={time}", "--target", "1"
+            capsys, "walk", "-g", "Z4", "-c", "{1,3}", f"--time={time}", "--target", "1"
         )
     assert (code, out) == (2, "")
-    assert err == f"error: bad time literal {time!r}; the time must be a finite float\n"
+    if time == "1e308":
+        # a finite time whose phase t * |C| = 2e308 is not
+        assert err == "error: time 1e+308 is too large: the phase t * |C| overflows for |C| = 2\n"
+    else:
+        assert err == f"error: bad time literal {time!r}; the time must be a finite float\n"
 
 
 def test_missing_set_file_exits_2(capsys, tmp_path):

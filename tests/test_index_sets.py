@@ -244,8 +244,8 @@ def test_sets_from_class_indices_build_no_elements_until_read():
 
 
 CACHED = {
-    groups: ("_canonical_elements", "_tables"),
-    spectra: ("character_table", "_character_indices"),
+    groups: ("_tables",),
+    spectra: ("character_table",),
     walk: ("_difference_index",),
 }
 

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -249,6 +250,15 @@ def test_fft_route_matches_table_property(g, seed):
     c = random_class_union(g, random.Random(seed))
     expected = np.rint((table @ _indicator(g, c)).real).astype(int).tolist()
     assert list(integral_spectrum(g, c).by_character.values()) == expected
+
+
+def test_character_indices_die_with_their_spectrum():
+    # by_character is cached on the spectrum only, so no per-vertex object outlives it
+    g = group("Z4xZ3")
+    spectrum = integral_spectrum(g, cset(g, [(1, 0), (3, 0)]))
+    index = weakref.ref(next(iter(spectrum.by_character)))
+    del spectrum
+    assert index() is None
 
 
 @settings(max_examples=40, deadline=None)
