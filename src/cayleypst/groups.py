@@ -11,7 +11,8 @@ ConnectionSet is held as the sorted array of its members' indices, and the
 set algebra (validation, power-closure, valuation buckets, scalar
 multiples) runs on numpy index arrays.  Each group has one cached set of
 index tables over all its elements (negation, element order and its
-2-adic valuation, power-class ids, the x2, x4 and odd-part maps), each
+2-adic valuation, power-class ids, the x2, x4 and odd-part maps), and the
+exact class-sum matrix of its characters over its power classes, each
 built on first use.  They take O(|G|) memory, so index-backed operations
 refuse groups of more than MAX_ORDER elements.
 """
@@ -38,6 +39,10 @@ GROUP_CACHE_SIZE = 512
 
 class GroupMismatchError(ValueError):
     """Arithmetic or comparison attempted across two different groups."""
+
+
+class CapExceededError(ValueError):
+    """A size cap was exceeded."""
 
 
 def two_part(n: int) -> tuple[int, int]:
@@ -228,6 +233,15 @@ def check_order(group: AbelianGroup) -> None:
         )
 
 
+def check_square(group: AbelianGroup) -> None:
+    """Raise CapExceededError when a |G| x |G| matrix would have more than MAX_ORDER entries."""
+    if group.order**2 > MAX_ORDER:
+        raise CapExceededError(
+            f"{group} has {group.order} elements, too many for a |G| x |G| matrix: "
+            f"|G|^2 is above the cap of {MAX_ORDER} (cayleypst.groups.MAX_ORDER)"
+        )
+
+
 def _canonical_elements(group: AbelianGroup) -> Iterator[GroupElement]:
     return (
         _element(group, coords)
@@ -304,6 +318,18 @@ def _prime_factors(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
+
+
+def _divisor_functions(n: int) -> np.ndarray:
+    """Rows: the divisors of n in increasing order, their Moebius values and their totients."""
+    rows = [(1, 1, 1)]
+    for p, k in _prime_factors(n).items():
+        rows = [
+            (d * p**j, mu * (1, -1, 0)[min(j, 2)], phi * (p**j - p ** (j - 1) if j else 1))
+            for d, mu, phi in rows
+            for j in range(k + 1)
+        ]
+    return np.array(sorted(rows)).T
 
 
 def _primitive_root(p: int, k: int) -> int:
@@ -418,6 +444,29 @@ class _IndexTables:
         return _frozen(np.bincount(self.class_id))
 
     @cached_property
+    def class_sums(self) -> np.ndarray:
+        """Exact class-sum matrix: S[D, K] is the sum over power class K of any character in D.
+
+        A character is indexed like an element and the pairing <j, g> =
+        sum of j_i g_i / n_i is symmetric, so its dual classes are the power
+        classes; both axes are in list_power_classes order, and any member
+        represents its class.  For K of order m and s = m * <r_D, r_K> mod m,
+        the sum is the Ramanujan sum c_m(s) = mu(m/gcd(m,s)) * phi(m) /
+        phi(m/gcd(m,s)).  The entries are integers of modulus at most |G|,
+        held as float64 so that every product with S is exact.
+        """
+        reps = np.empty(len(self.class_size), dtype=np.intp)
+        reps[self.class_id] = np.arange(self.group.order)
+        coords, m = self.coords[:, reps], self.order[reps]
+        # m * r_K is the identity, so each m * r_K,i / n_i is an integer
+        scaled = coords * m // np.array(self.group.factors)[:, None]
+        s = (coords.T @ scaled) % m
+        # m and m/gcd(m, s) divide the exponent: look their functions up among its divisors
+        divisors, mu, phi = _divisor_functions(math.lcm(*self.group.factors))
+        q = np.searchsorted(divisors, m // np.gcd(m, s))
+        return _frozen((mu[q] * (phi[np.searchsorted(divisors, m)] // phi[q])).astype(np.float64))
+
+    @cached_property
     def class_members(self) -> tuple[np.ndarray, ...]:
         """Sorted member indices of each power class, in list_power_classes order."""
         by_class = _frozen(np.argsort(self.class_id, kind="stable"))
@@ -513,8 +562,27 @@ def is_power_closed(connection_set) -> bool:
     if group is None:
         return True
     tables = _tables(group)
-    ids = tables.class_id[indices]
-    return bool((np.bincount(ids)[ids] == tables.class_size[ids]).all())
+    if isinstance(connection_set, ConnectionSet):
+        met = _class_mask(connection_set)
+    else:
+        met = _classes_met(tables, indices)
+    # the classes a set meets hold all of its elements, and more unless it is their union
+    return bool(met @ tables.class_size == len(indices))
+
+
+def _classes_met(tables: _IndexTables, indices: np.ndarray) -> np.ndarray:
+    """0/1 float64 mask of the power classes that contain one of these elements."""
+    counts = np.bincount(tables.class_id[indices], minlength=len(tables.class_size))
+    return _frozen((counts > 0).astype(np.float64))
+
+
+def _class_mask(connection_set: ConnectionSet) -> np.ndarray:
+    """The mask of the power classes a set meets, computed once and kept on the set."""
+    mask = connection_set._class_mask
+    if mask is None:
+        mask = _classes_met(_tables(connection_set.group), connection_set.indices)
+        object.__setattr__(connection_set, "_class_mask", mask)
+    return mask
 
 
 def partition_by_two_part(connection_set) -> dict[int, frozenset[GroupElement]]:
@@ -551,10 +619,11 @@ class ConnectionSet:
     indices; `elements`, the frozenset of members, is built from it on first
     use.  `loops_allowed` records that the identity was present in the raw
     input and stripped (a loop at every vertex, which never affects
-    transfer).
+    transfer).  The mask of the power classes it meets is also kept once
+    read: power-closure, the spectrum and the walk all start from it.
     """
 
-    __slots__ = ("group", "indices", "loops_allowed", "_elements")
+    __slots__ = ("group", "indices", "loops_allowed", "_elements", "_class_mask")
 
     def __init__(
         self, group: AbelianGroup, elements: Iterable[GroupElement], loops_allowed: bool = False
@@ -586,6 +655,7 @@ class ConnectionSet:
         object.__setattr__(self, "indices", _frozen(indices))
         object.__setattr__(self, "loops_allowed", loops_allowed)
         object.__setattr__(self, "_elements", None)
+        object.__setattr__(self, "_class_mask", None)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"ConnectionSet is immutable; cannot set {name!r}")

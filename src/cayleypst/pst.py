@@ -19,6 +19,7 @@ import numpy as np
 from .groups import (
     MAX_ORDER,
     AbelianGroup,
+    CapExceededError,
     ConnectionSet,
     GroupElement,
     _even_factor_index,
@@ -30,7 +31,7 @@ from .groups import (
     sylow2_cyclic,
 )
 from .spectra import delta, integral_spectrum
-from .walk import CapExceededError, detect_pst_numeric
+from .walk import detect_pst_numeric
 
 TRANSFER_TIME = math.pi / 2
 _TIME_LABEL = "pi/2"

@@ -2,40 +2,46 @@
 
 Every character is simultaneously an eigenvector of every Cayley graph of its
 group; the eigenvalue attached to a connection set is the character sum over
-that set.  The sums are evaluated in double precision and rounded to
-integers; they are integers exactly when the set is power-closed, which
+that set.  The sums are integers exactly when the set is power-closed, which
 decides integrality.
 
-Over the factor shape, the vector of all character sums is one
-multidimensional DFT.  Up to TABLE_MAX_ORDER vertices the sums come from the
-cached dense character table (a matvec beats an FFT call there); above it
-they come from numpy's FFT over `group.factors`, in O(|G| log |G|) time and
-O(|G|) memory, and no table is built.
+A power-closed set is a union of power classes, and the sum of a character
+over one power class is a Ramanujan sum that depends only on the character's
+dual power class.  So its whole spectrum is the exact integer class-sum
+matrix S of the group (k x k for k power classes) times the set's class
+mask: no float is rounded and no |G| x |G| table is built.  Groups of at
+most MAX_CLASSES power classes take this class-space route.  Every other
+case (a set that is not power-closed, or a group with more classes) takes
+the one FFT kernel: the vector of all character sums is numpy's ifftn over
+`group.factors`, in O(|G| log |G|) time and O(|G|) memory, and its sums are
+rounded to integers.  The dense character table is a test oracle only.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .groups import (
-    GROUP_CACHE_SIZE,
     AbelianGroup,
     ConnectionSet,
     GroupElement,
     GroupMismatchError,
     _canonical_elements,
+    _class_mask,
     _require_bound_set,
+    _tables,
+    check_square,
     is_power_closed,
 )
 
 INTEGRALITY_TOL = 1e-7
-# Largest order whose character sums use the dense table; larger groups use
-# the FFT.  The two cost the same near 256 vertices.
-TABLE_MAX_ORDER = 256
+# Most power classes for the class-space route, which keeps its class-sum
+# matrix no larger than 256 x 256; groups with more classes use the FFT.
+MAX_CLASSES = 256
 
 
 class NonIntegralSpectrumError(Exception):
@@ -45,8 +51,7 @@ class NonIntegralSpectrumError(Exception):
         self.index = index
         self.value = value
         super().__init__(
-            f"character {index.indices} gives non-integral eigenvalue "
-            f"{value.real:.9g}{value.imag:+.3g}i"
+            f"character {index.indices} gives non-integral eigenvalue {value.real:.9g}"
         )
 
 
@@ -108,15 +113,16 @@ def character_sum(index: CharacterIndex, connection_set: ConnectionSet) -> compl
     return sum((character_value(index, g) for g in connection_set), 0.0 + 0.0j)
 
 
-@lru_cache(maxsize=GROUP_CACHE_SIZE)
 def character_table(group: AbelianGroup) -> np.ndarray:
     """Full |G| x |G| character table; rows are characters, columns elements.
 
     Both axes follow the canonical element order, so table[j] @ indicator(C)
-    is the eigenvalue vector of X(G, C).  The table is symmetric.  It backs
-    the character sums of groups of at most TABLE_MAX_ORDER vertices and is
-    the reference the FFT route is tested against.
+    is the eigenvalue vector of X(G, C).  The table is symmetric.  No
+    production path reads it: it is the oracle that the class-space and FFT
+    routes are tested against.  Groups whose |G|^2 is above groups.MAX_ORDER
+    raise CapExceededError.
     """
+    check_square(group)
     table = np.ones((1, 1), dtype=np.complex128)
     for n in group.factors:
         grid = np.outer(np.arange(n), np.arange(n)) % n
@@ -136,13 +142,10 @@ def _character_transform(
     Forward: entry j is sum over g of chi_j(g) * values[g], i.e. table @ values,
     which maps the indicator of C to the eigenvalues.  Inverse: entry g is
     sum over j of values[j] * chi_j(g) / |G|, i.e. values @ table / |G|, which
-    maps eigenvalue phases to the identity row of the walk.  Above
-    TABLE_MAX_ORDER both are numpy's ifftn over the factor shape, whose sign
-    exp(+2*pi*i j.g/n) is the table's; the norm moves the 1/|G|.
+    maps eigenvalue phases to the identity row of the walk.  Both are numpy's
+    ifftn over the factor shape, whose sign exp(+2*pi*i j.g/n) is the
+    table's; the norm moves the 1/|G|.
     """
-    if group.order <= TABLE_MAX_ORDER:
-        table = character_table(group)
-        return (values @ table) / group.order if inverse else table @ values
     norm = "backward" if inverse else "forward"
     return np.fft.ifftn(np.reshape(values, group.factors), norm=norm).ravel()
 
@@ -152,6 +155,20 @@ def _indicator(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray
     vec = np.zeros(group.order)
     vec[connection_set.indices] = 1.0
     return vec
+
+
+def _class_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray | None:
+    """Eigenvalue of each dual power class, S @ mask, exact; None off the class-space route.
+
+    The route takes a power-closed set on a group of at most MAX_CLASSES
+    power classes.
+    """
+    if not is_power_closed(connection_set):
+        return None
+    tables = _tables(group)
+    if len(tables.class_size) > MAX_CLASSES:
+        return None
+    return tables.class_sums @ _class_mask(connection_set)
 
 
 class Spectrum:
@@ -229,16 +246,25 @@ def integral_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> Spe
     """Evaluate every character sum as an exact integer.
 
     The spectrum is integral exactly when the set is power-closed, and
-    is_power_closed decides it.  For a set that is not, raises
-    NonIntegralSpectrumError naming the first character in canonical order
-    whose sum is off an integer by more than INTEGRALITY_TOL.  A power-closed
-    set whose sums are that far off is a numeric fault: RuntimeError.
+    is_power_closed decides it.  On the class-space route the sums are exact
+    integers and nothing is rounded.  On the FFT route, a set that is not
+    power-closed raises NonIntegralSpectrumError naming the first character
+    in canonical order whose sum is off an integer by more than
+    INTEGRALITY_TOL; a power-closed set whose sums are that far off is a
+    numeric fault: RuntimeError.
     """
+    _require_bound_set(group, connection_set)
+    if not len(connection_set):
+        # the empty graph: no power-class table and no FFT
+        return Spectrum._from_values(group, np.zeros(group.order, dtype=np.int64))
+    per_class = _class_spectrum(group, connection_set)
+    if per_class is not None:
+        tables = _tables(group)
+        return Spectrum._from_values(group, per_class.astype(np.int64)[tables.class_id])
     sums = _character_transform(group, _indicator(group, connection_set))
     nearest = np.rint(sums.real)
     residual = np.abs(sums - nearest)
-    # the empty set is power-closed; it needs no power-class table
-    if len(connection_set) and not is_power_closed(connection_set):
+    if not is_power_closed(connection_set):
         off = residual > INTEGRALITY_TOL
         # some sum is not an integer; should rounding hide all of them, name the farthest
         first = int(np.argmax(off) if off.any() else np.argmax(residual))

@@ -4,26 +4,33 @@ Two independent routes to the transition matrix exp(i*t*A): a closed form
 through the character decomposition, and a dense symmetric eigendecomposition
 of the adjacency matrix.  The dense route shares no character machinery and
 serves as the low-tech cross-check for everything else.
+
+The character route needs only the row at the identity vertex.  For a
+power-closed set on a group of at most spectra.MAX_CLASSES power classes it
+is constant on power classes (multiplying by a unit is a graph automorphism
+that fixes the identity), so it is S @ exp(i*t*S @ mask) / |G| with S the
+exact class-sum matrix: one small matvec each way, and no |G| x |G| table.
+Every other set takes two FFTs over the factor shape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .groups import (
-    GROUP_CACHE_SIZE,
-    MAX_ORDER,
     AbelianGroup,
+    CapExceededError,  # noqa: F401  (re-exported: one class for every size cap)
     ConnectionSet,
     GroupElement,
     _require_bound,
+    _require_bound_set,
     _tables,
+    check_square,
 )
-from .spectra import _character_transform, _indicator
+from .spectra import _character_transform, _class_spectrum, _indicator
 from .spectra import character_table  # noqa: F401  (perfbench/tracer.py rebinds walk.character_table)
 
 DENSE_ORDER_CAP = 512
@@ -31,24 +38,13 @@ DENSE_ORDER_CAP = 512
 _SCAN_TOL = 1e-9
 
 
-class CapExceededError(ValueError):
-    """A size cap was exceeded."""
-
-
-@lru_cache(maxsize=GROUP_CACHE_SIZE)
 def _difference_index(group: AbelianGroup) -> np.ndarray:
-    """Index table D[g, h] = canonical index of h - g; its |G|^2 entries are capped at MAX_ORDER."""
-    if group.order**2 > MAX_ORDER:
-        raise CapExceededError(
-            f"{group} has {group.order} elements, too many for a |G| x |G| matrix: "
-            f"|G|^2 is above the cap of {MAX_ORDER} (cayleypst.groups.MAX_ORDER)"
-        )
+    """Index table D[g, h] = canonical index of h - g; groups above 2048 vertices are refused."""
+    check_square(group)
     coords = _tables(group).coords
-    table = np.ravel_multi_index(
+    return np.ravel_multi_index(
         tuple(row[None, :] - row[:, None] for row in coords), group.factors, mode="wrap"
     )
-    table.setflags(write=False)
-    return table
 
 
 def adjacency_matrix(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray:
@@ -60,13 +56,24 @@ def adjacency_matrix(group: AbelianGroup, connection_set: ConnectionSet) -> np.n
 def _identity_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> np.ndarray:
     """Row of the transition matrix at the identity vertex, via characters.
 
-    An inverse-closed set has real character sums; keeping their round-off
+    On the class-space route the row is constant on power classes, and the
+    class-sum matrix S maps the class phases to it; the pairing is
+    symmetric, so the same S serves both directions.  Otherwise an
+    inverse-closed set has real character sums; keeping their round-off
     imaginary parts out of the phases keeps the row a unit vector at every t.
     No eigenvalue exceeds |C| in modulus, so a finite t * |C| bounds every phase.
     """
+    _require_bound_set(group, connection_set)
     size = len(connection_set)
     if not math.isfinite(t * size):
         raise ValueError(f"time {t!r} is too large: the phase t * |C| overflows for |C| = {size}")
+    if not size:
+        # the empty graph never moves
+        return np.eye(1, group.order, dtype=np.complex128)[0]
+    per_class = _class_spectrum(group, connection_set)
+    if per_class is not None:
+        tables = _tables(group)
+        return (tables.class_sums @ np.exp(1j * t * per_class) / group.order)[tables.class_id]
     eigenvalues = _character_transform(group, _indicator(group, connection_set)).real
     return _character_transform(group, np.exp(1j * t * eigenvalues), inverse=True)
 

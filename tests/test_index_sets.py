@@ -245,8 +245,6 @@ def test_sets_from_class_indices_build_no_elements_until_read():
 
 CACHED = {
     groups: ("_tables",),
-    spectra: ("character_table",),
-    walk: ("_difference_index",),
 }
 
 

@@ -31,7 +31,7 @@ from cayleypst import (
     odd_eigenvalue_exists,
 )
 from cayleypst import spectra
-from cayleypst.spectra import TABLE_MAX_ORDER, _character_transform, _indicator
+from cayleypst.spectra import _character_transform, _indicator
 from conftest import (
     class_unions,
     cset,
@@ -192,8 +192,8 @@ def test_spectrum_json_sorted_descending():
     assert doc == {"eigenvalues": [[2, 1], [0, 2], [-2, 1]]}
 
 
-# Groups above TABLE_MAX_ORDER, whose character sums come from the FFT; the
-# dense table is the oracle.
+# Groups of more than 256 vertices, where a dense table is large; it is the
+# oracle of both the FFT kernel and the class-space route.
 FFT_GROUPS = ["Z512", "Z4xZ75", "Z8xZ5xZ7"]
 
 
@@ -207,8 +207,8 @@ def assert_transform_matches_table(g, table, rng):
 @pytest.mark.parametrize("spec", FFT_GROUPS)
 def test_fft_character_sums_match_table(spec):
     g = group(spec)
-    assert g.order > TABLE_MAX_ORDER
-    table = character_table.__wrapped__(g)
+    assert g.order > 256
+    table = character_table(g)
     assert_transform_matches_table(g, table, np.random.default_rng(g.order))
 
 
@@ -221,31 +221,33 @@ def test_fft_integral_spectrum_matches_table_route(spec, monkeypatch):
     generator = min(cls, key=lambda x: x.coords)
     split = ConnectionSet(g, frozenset({generator, -generator}))
     assert len(cls) > 2 and not is_power_closed(split)
-    tables_before = character_table.cache_info().currsize
-    fft_spectrum = integral_spectrum(g, closed)
+    table = character_table(g)
+    expected = np.rint((table @ _indicator(g, closed)).real).astype(int).tolist()
+    sums = table @ _indicator(g, split)
+    witness = int(np.argmax(np.abs(sums - np.rint(sums.real)) > spectra.INTEGRALITY_TOL))
+    class_route = integral_spectrum(g, closed)
+    # with no class-space route, every set takes the FFT
+    monkeypatch.setattr(spectra, "MAX_CLASSES", 0)
+    fft_route = integral_spectrum(g, closed)
+    assert class_route.values.tolist() == fft_route.values.tolist() == expected
     with pytest.raises(NonIntegralSpectrumError) as fft_err:
         integral_spectrum(g, split)
-    assert character_table.cache_info().currsize == tables_before
-    monkeypatch.setattr(spectra, "TABLE_MAX_ORDER", g.order)
-    assert integral_spectrum(g, closed).by_character == fft_spectrum.by_character
-    with pytest.raises(NonIntegralSpectrumError) as table_err:
-        integral_spectrum(g, split)
-    assert fft_err.value.index == table_err.value.index
+    assert fft_err.value.index.indices == np.unravel_index(witness, g.factors)
 
 
 @st.composite
 def fft_sized_groups(draw):
     factors = draw(st.lists(st.integers(2, 12), max_size=2))
     rest = math.prod(factors)
-    last = draw(st.integers(-(-(TABLE_MAX_ORDER + 1) // rest), 1024 // rest))
+    last = draw(st.integers(-(-257 // rest), 1024 // rest))
     return AbelianGroup((*factors, last))
 
 
 @settings(max_examples=8, deadline=None)
 @given(fft_sized_groups(), st.integers(0, 2**32 - 1))
 def test_fft_route_matches_table_property(g, seed):
-    assert TABLE_MAX_ORDER < g.order <= 1024
-    table = character_table.__wrapped__(g)
+    assert 256 < g.order <= 1024
+    table = character_table(g)
     assert_transform_matches_table(g, table, np.random.default_rng(seed))
     c = random_class_union(g, random.Random(seed))
     expected = np.rint((table @ _indicator(g, c)).real).astype(int).tolist()
@@ -270,7 +272,7 @@ def test_array_spectrum_matches_the_character_dict(factors, seed):
     g = AbelianGroup(tuple(factors))
     c = random_class_union(g, random.Random(seed))
     spectrum = integral_spectrum(g, c)
-    table = character_table.__wrapped__(g)
+    table = character_table(g)
     sums = np.rint((table @ _indicator(g, c)).real).astype(int).tolist()
     expected = dict(zip(all_character_indices(g), sums))
     assert spectrum.by_character == expected
@@ -311,9 +313,13 @@ def test_integrality_is_decided_by_power_closure(monkeypatch):
     with pytest.raises(NonIntegralSpectrumError):
         integral_spectrum(z5, split)
     monkeypatch.undo()
-    # a power-closed set whose sums come out off an integer is a numeric fault
-    closed = cset(z5, [(1,), (2,), (3,), (4,)])
+    # a power-closed set whose FFT sums come out off an integer is a numeric
+    # fault; Z2^9 has 512 power classes, too many for the class-space route
+    cube = group("x".join(["Z2"] * 9))
+    closed = cset(cube, [tuple(int(i == j) for i in range(9)) for j in range(9)])
     exact = spectra._character_transform
     monkeypatch.setattr(spectra, "_character_transform", lambda g, v: exact(g, v) + 1e-3)
     with pytest.raises(RuntimeError, match="internal error"):
-        integral_spectrum(z5, closed)
+        integral_spectrum(cube, closed)
+    # the class-space route rounds nothing, so the same fault cannot reach it
+    assert integral_spectrum(z5, cset(z5, [(1,), (2,), (3,), (4,)])).eigenvalues == {4: 1, -1: 4}

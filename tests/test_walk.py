@@ -18,7 +18,8 @@ from cayleypst import (
     transition_amplitude,
     transition_matrix,
 )
-from cayleypst.spectra import TABLE_MAX_ORDER, _indicator
+from cayleypst import spectra
+from cayleypst.spectra import _indicator
 from cayleypst.walk import DENSE_ORDER_CAP, _identity_row
 from conftest import class_unions, cset, elem, group, random_class_union
 
@@ -228,15 +229,18 @@ def test_transition_matrix_json_shape():
 
 
 @pytest.mark.parametrize("spec", ["Z512", "Z4xZ75", "Z8xZ5xZ7"])
-def test_fft_identity_row_matches_table(spec):
+def test_fft_identity_row_matches_table(spec, monkeypatch):
     g = group(spec)
-    assert g.order > TABLE_MAX_ORDER
+    assert g.order > 256
     c = random_class_union(g, random.Random(g.order))
-    table = character_table.__wrapped__(g)
-    for t in (math.pi / 2, 0.7):
-        phases = np.exp(1j * t * (table @ _indicator(g, c)))
-        expected = phases @ table / g.order
-        assert np.abs(_identity_row(g, c, t) - expected).max() < 1e-9
+    table = character_table(g)
+    for max_classes in (spectra.MAX_CLASSES, 0):
+        # the class-space route first, then the FFT that every set takes without it
+        monkeypatch.setattr(spectra, "MAX_CLASSES", max_classes)
+        for t in (math.pi / 2, 0.7):
+            phases = np.exp(1j * t * (table @ _indicator(g, c)))
+            expected = phases @ table / g.order
+            assert np.abs(_identity_row(g, c, t) - expected).max() < 1e-9
 
 
 def test_fft_detection_above_table_size():
