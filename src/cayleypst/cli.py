@@ -12,6 +12,8 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,8 @@ from .groups import (
     parse_group,
     power_class_indices,
 )
-from .jsonio import dumps
+from .jsonio import dumps  # noqa: F401  (perfbench/tracer.py requires the cli.dumps site)
+from .jsonio import format_rows, pieces
 from .pst import (
     CROSS_VALIDATE_MAX_ORDER,
     CrossValidationError,
@@ -107,21 +110,23 @@ def _load_connection_set(group: AbelianGroup, text: str) -> ConnectionSet:
     return parse_connection_set(group, text)
 
 
-def _coords(group: AbelianGroup, indices: np.ndarray) -> list[list[int]]:
-    """Coordinate lists of the elements with these canonical indices, in the same order."""
-    return np.array(np.unravel_index(indices, group.factors)).T.tolist()
+def _coords(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
+    """Coordinates of the elements with these canonical indices, one row each, in the same order."""
+    return np.stack(np.unravel_index(indices, group.factors), axis=-1)
 
 
-def _coords_list(connection_set: ConnectionSet) -> list[list[int]]:
+def _coords_list(connection_set: ConnectionSet) -> np.ndarray:
     return _coords(connection_set.group, connection_set.indices)
 
 
-def _emit(document, args) -> None:
-    text = document if isinstance(document, str) else dumps(document) + "\n"
+def _emit(document: dict | Iterable[str], args) -> None:
+    """Write a JSON document, or text given as pieces, to stdout or the --out file, piece by piece."""
+    text = chain(pieces(document), ("\n",)) if isinstance(document, dict) else document
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
 
 
 def _cmd_check(args) -> int:
@@ -223,7 +228,7 @@ def _cmd_classes(args) -> int:
         coords = _coords(group, members)
         classes.append(
             {
-                "key": coords[0],
+                "key": coords[0].tolist(),
                 "member_order": int(orders[members[0]]),
                 "size": len(coords),
                 "elements": coords,
@@ -234,39 +239,32 @@ def _cmd_classes(args) -> int:
     return 0
 
 
-def _edges(group: AbelianGroup, cset: ConnectionSet) -> list[tuple[int, int]]:
-    """Pairs g < h of canonical vertex indices with h - g in C, sorted; O(|G| * |C|)."""
+def _edges(group: AbelianGroup, cset: ConnectionSet) -> np.ndarray:
+    """Pairs g < h of canonical vertex indices with h - g in C, one row each, sorted; O(|G| * |C|)."""
     coords = _tables(group).coords
     neighbours = np.ravel_multi_index(
         tuple(row[:, None] + row[cset.indices] for row in coords), group.factors, mode="wrap"
     )
     neighbours.sort(axis=1)
     sources, slots = np.nonzero(neighbours > np.arange(group.order)[:, None])
-    return list(zip(sources.tolist(), neighbours[sources, slots].tolist()))
+    return np.stack((sources, neighbours[sources, slots]), axis=-1)
 
 
 def _cmd_export(args) -> int:
     group = _group(args)
     cset = _load_connection_set(group, args.connection_set)
     if args.format == "adjacency":
-        adjacency = adjacency_matrix(group, cset).astype(np.int64).tolist()
-        rows = [" ".join(map(str, row)) for row in adjacency]
-        _emit("\n".join(rows) + "\n", args)
+        adjacency = adjacency_matrix(group, cset).astype(np.int8)
+        _emit(format_rows(adjacency, " ".join(["%d"] * group.order) + "\n", ""), args)
         return 0
-    vertices = _tables(group).coords.T.tolist()
-    edges = _edges(group, cset)
+    # the coordinates of both ends of every edge, shape (edges, 2, rank)
+    ends = _tables(group).coords.T[_edges(group, cset)]
     if args.format == "dot":
-        labels = ["(" + ",".join(map(str, v)) + ")" for v in vertices]
-        lines = ["graph cayley {"]
-        lines.extend(f'  "{labels[g]}" -- "{labels[h]}";' for g, h in edges)
-        lines.append("}")
-        _emit("\n".join(lines) + "\n", args)
+        label = "(" + ",".join(["%d"] * group.rank) + ")"
+        line = f'  "{label}" -- "{label}";'
+        _emit(chain(("graph cayley {\n",), format_rows(ends, line + "\n", ""), ("}\n",)), args)
         return 0
-    document = {
-        "group": str(group),
-        "set": _coords_list(cset),
-        "edges": [[vertices[g], vertices[h]] for g, h in edges],
-    }
+    document = {"group": str(group), "set": _coords_list(cset), "edges": ends}
     _emit(document, args)
     return 0
 

@@ -426,18 +426,21 @@ class _IndexTables:
         # Per generating unit, a min-label pass whose step doubles each
         # round covers every cycle, so each element ends up labelled with
         # the least index of its class.
-        label = np.arange(self.group.order)
+        order = self.group.order
+        label = np.arange(order)
         for unit, unit_order in _unit_generators(math.lcm(*self.group.factors)):
             step = _scaled(self.group, unit, self.coords)
             reach = 1
             while reach < unit_order:
-                label = np.minimum(label, label[step])
+                np.minimum(label, label[step], out=label)
                 step = step[step]
                 reach *= 2
-        keys, inverse = np.unique(label, return_inverse=True)
-        rank = np.empty(len(keys), dtype=np.intp)
-        rank[np.lexsort((keys, self.order[keys]))] = np.arange(len(keys))
-        return _frozen(rank[inverse])
+            del step  # one |G| array fewer while the ranks are built
+        # the least member of each class is the one element that labels itself
+        keys = np.flatnonzero(label == np.arange(order))
+        rank = np.empty(order, dtype=np.intp)
+        rank[keys[np.lexsort((keys, self.order[keys]))]] = np.arange(len(keys))
+        return _frozen(rank[label])
 
     @cached_property
     def class_size(self) -> np.ndarray:

@@ -29,8 +29,9 @@ from .groups import (
     _require_bound_set,
     _tables,
     check_square,
+    is_power_closed,
 )
-from .spectra import _character_transform, _class_spectrum, _indicator
+from .spectra import _character_transform, _class_spectrum, _indicator, integral_spectrum
 from .spectra import character_table  # noqa: F401  (perfbench/tracer.py rebinds walk.character_table)
 
 DENSE_ORDER_CAP = 512
@@ -61,7 +62,9 @@ def _identity_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) 
     symmetric, so the same S serves both directions.  Otherwise an
     inverse-closed set has real character sums; keeping their round-off
     imaginary parts out of the phases keeps the row a unit vector at every t.
-    No eigenvalue exceeds |C| in modulus, so a finite t * |C| bounds every phase.
+    A power-closed set takes its exact integer eigenvalues, since t times the
+    FFT's round-off would grow with t.  No eigenvalue exceeds |C| in modulus,
+    so a finite t * |C| bounds every phase.
     """
     _require_bound_set(group, connection_set)
     size = len(connection_set)
@@ -74,7 +77,10 @@ def _identity_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) 
     if per_class is not None:
         tables = _tables(group)
         return (tables.class_sums @ np.exp(1j * t * per_class) / group.order)[tables.class_id]
-    eigenvalues = _character_transform(group, _indicator(group, connection_set)).real
+    if is_power_closed(connection_set):
+        eigenvalues = integral_spectrum(group, connection_set).values
+    else:
+        eigenvalues = _character_transform(group, _indicator(group, connection_set)).real
     return _character_transform(group, np.exp(1j * t * eigenvalues), inverse=True)
 
 

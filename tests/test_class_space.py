@@ -90,6 +90,19 @@ def test_class_route_row_matches_the_fft_row(g, seed):
             assert np.abs(_identity_row(g, c, t) - fft_row).max() < 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fft_route_row_of_a_power_closed_set_uses_the_exact_spectrum(seed):
+    # Z3^6 has 365 power classes, above MAX_CLASSES: its rows go through the FFT
+    g = group("x".join(["Z3"] * 6))
+    assert len(_tables(g).class_size) > MAX_CLASSES
+    c = random_class_union(g, random.Random(seed))
+    exact = integral_spectrum(g, c).values
+    for t in (1e8, 1e10):
+        # t multiplies any round-off in an eigenvalue, so only the exact integers hold at large t
+        exact_row = _character_transform(g, np.exp(1j * t * exact), inverse=True)
+        assert np.abs(_identity_row(g, c, t) - exact_row).max() < 1e-12
+
+
 def test_production_never_reads_the_character_table(monkeypatch):
     def refuse(group):
         raise AssertionError(f"character table of {group} built outside the tests")

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -258,8 +260,7 @@ def _edge_cases():
 
 @pytest.mark.parametrize("g, c", _edge_cases(), ids=["Z4xZ3xZ3", "Z2048", "no_edges"])
 def test_edges_match_dense_upper_triangle(g, c):
-    rows, cols = np.nonzero(np.triu(adjacency_matrix(g, c), 1))
-    assert _edges(g, c) == list(zip(rows.tolist(), cols.tolist()))
+    assert np.array_equal(_edges(g, c), np.argwhere(np.triu(adjacency_matrix(g, c), 1)))
 
 
 @pytest.mark.parametrize(
@@ -340,3 +341,65 @@ def test_non_power_closed_spectrum_exits_1_naming_the_character(capsys):
     assert err == (
         "error: non-integral spectrum: character (1, 0) gives non-integral eigenvalue 1.99996235\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classes", "-g", "Z8xZ3xZ3"),
+        ("export", "-g", "Z4xZ3xZ3", "-c", "{(2,0,0),(1,0,1),(3,0,2)}", "--format", "json"),
+        ("export", "-g", "Z4xZ3xZ3", "-c", "{(2,0,0),(1,0,1),(3,0,2)}", "--format", "dot"),
+        ("export", "-g", "Z4xZ3xZ3", "-c", "{(2,0,0),(1,0,1),(3,0,2)}", "--format", "adjacency"),
+        ("enumerate", "-g", "Z4xZ3xZ3"),
+    ],
+    ids=["classes", "export-json", "export-dot", "export-adjacency", "enumerate"],
+)
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    outfile = tmp_path / "out.txt"
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(outfile))
+    assert (code, printed) == (0, "")
+    assert outfile.read_bytes() == out.encode("utf-8")
+
+
+class _Discard:
+    """A stdout that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classes", "-g", "Z262144"),
+        ("export", "-g", "Z65536", "-c", "{1,65535}", "--format", "json"),
+    ],
+    ids=["classes", "export-json"],
+)
+def test_output_memory_is_a_small_multiple_of_the_output_size(monkeypatch, argv):
+    sink = _Discard()
+    monkeypatch.setattr(sys, "stdout", sink)
+    # the first run builds the group's cached tables; the second pays only for its output
+    assert main(list(argv)) == 0
+    sink.size = 0
+    tracemalloc.start()
+    try:
+        assert main(list(argv)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 2_000_000
+    assert peak <= 2 * sink.size

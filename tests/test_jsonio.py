@@ -1,9 +1,12 @@
 """The deterministic JSON renderer against the recursive renderer it replaced."""
 
-from hypothesis import given, settings
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cayleypst.jsonio import dumps
+from cayleypst import jsonio
+from cayleypst.jsonio import dumps, pieces
 from conftest import recursive_dumps
 
 scalars = st.one_of(
@@ -33,7 +36,45 @@ def test_dumps_matches_recursive_renderer(document):
 def test_rows_of_ints_keep_their_bytes():
     rows = [[1, 2], [3], [-4, 50]]
     assert dumps(rows) == "[\n  [1, 2],\n  [3],\n  [-4, 50]\n]"
-    # bools, floats, nested lists and tuples are not plain ints and take the general path
+    # bools, floats, nested lists and tuples render like any other list
     for mixed in ([[1], [True]], [[1], [2.0]], [[1], []], [[1], [[2]]], [[1], (2,)]):
         assert dumps(mixed) == recursive_dumps(mixed)
     assert dumps({"a": [[True, False]]}) == '{\n  "a": [\n    [true, false]\n  ]\n}'
+
+
+@st.composite
+def int_arrays(draw):
+    """Int arrays of n x r (or n x 2 x r, like exported edges) rows around the block size."""
+    r = draw(st.integers(1, 3))
+    inner = draw(st.sampled_from([(r,), (2, r)]))
+    block = jsonio._BLOCK_VALUES // int(np.prod(inner))
+    n = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 3 * block + 1]) | st.integers(0, 4 * block))
+    seed = draw(st.integers(0, 2**32 - 1))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.intp]))
+    info = np.iinfo(dtype)
+    return np.random.default_rng(seed).integers(info.min, info.max, (n, *inner), dtype=dtype, endpoint=True)
+
+
+# no shrinking: the values come from a seeded generator, and shrinking arrays
+# of tens of thousands of values takes minutes
+@settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(int_arrays(), st.integers(0, 2))
+def test_int_arrays_render_like_their_lists_in_blocks(array, depth):
+    document, listed = array, array.tolist()
+    for _ in range(depth):
+        document, listed = {"k": [document, 7]}, {"k": [listed, 7]}
+    expected = recursive_dumps(listed)
+    assert dumps(document) == expected
+    parts = list(pieces(document))
+    assert "".join(parts) == expected
+    # one piece per block of rows at least, and none much longer than a block's text
+    assert len(parts) >= array.size // jsonio._BLOCK_VALUES
+    assert max(map(len, parts)) <= 64 * jsonio._BLOCK_VALUES
+
+
+@pytest.mark.parametrize(
+    "array", [np.arange(3), np.zeros((2, 2)), np.zeros((2, 2), dtype=bool), np.array(5)]
+)
+def test_only_int_arrays_of_two_or_more_axes_render(array):
+    with pytest.raises(TypeError, match="array to JSON"):
+        dumps({"a": array})
