@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from collections.abc import Iterable
@@ -28,7 +29,7 @@ from .groups import (
     parse_group,
     power_class_indices,
 )
-from .jsonio import dumps  # noqa: F401  (perfbench/tracer.py requires the cli.dumps site)
+from .jsonio import dumps  # noqa: F401  (unused: perfbench/tracer.py requires the cli.dumps site)
 from .jsonio import format_rows, pieces
 from .pst import (
     CROSS_VALIDATE_MAX_ORDER,
@@ -366,7 +367,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): end quietly, and let the
+        # flush at exit write what is still buffered to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except NonIntegralSpectrumError as exc:
         print(f"error: non-integral spectrum: {exc}", file=sys.stderr)
         return 1

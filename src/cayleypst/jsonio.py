@@ -47,7 +47,7 @@ def format_rows(array: np.ndarray, line: str, sep: str) -> Iterator[str]:
     One row takes the values of array[i] in C order.  The rows are formatted a
     block of at most _BLOCK_VALUES integers (and at least one row) at a time.
     """
-    step = max(1, _BLOCK_VALUES // max(1, math.prod(array.shape[1:])))
+    step = max(1, min(len(array), _BLOCK_VALUES // max(1, math.prod(array.shape[1:]))))
     full = sep.join([line] * step)
     for start in range(0, len(array), step):
         block = array[start : start + step]
@@ -67,8 +67,8 @@ def _template(shape: tuple[int, ...], level: int) -> str:
     return "[\n" + ",\n".join([item] * shape[0]) + "\n" + "  " * level + "]"
 
 
-def _leaf(value, level: int) -> str | None:
-    """Text of a value rendered whole: a scalar, a list of scalars, {} or a small int array.
+def _leaf(value) -> str | None:
+    """Text of a value rendered whole: a scalar, a list of scalars, {} or an int array with no rows.
 
     None for anything else, which `pieces` renders piece by piece.
     """
@@ -81,9 +81,7 @@ def _leaf(value, level: int) -> str | None:
     if isinstance(value, np.ndarray):
         if value.ndim < 2 or not np.issubdtype(value.dtype, np.integer):
             raise TypeError(f"cannot serialize a {value.ndim}-d {value.dtype} array to JSON")
-        if value.size <= _BLOCK_VALUES:
-            return _template(value.shape, level) % tuple(value.ravel().tolist())
-        return None
+        return None if len(value) else "[]"
     if isinstance(value, dict) and not value:
         return "{}"
     return None
@@ -96,7 +94,7 @@ def pieces(value, _level: int = 0) -> Iterator[str]:
     render like their `.tolist()`.  Identical inputs always produce identical
     bytes.
     """
-    leaf = _leaf(value, _level)
+    leaf = _leaf(value)
     if leaf is not None:
         yield leaf
         return
@@ -119,7 +117,7 @@ def pieces(value, _level: int = 0) -> Iterator[str]:
         raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
     head = brackets[0] + "\n" + inner
     for label, item in entries:
-        leaf = _leaf(item, _level + 1)
+        leaf = _leaf(item)
         if leaf is None:
             yield head + label
             yield from pieces(item, _level + 1)

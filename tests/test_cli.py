@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -9,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import cayleypst
 from cayleypst import adjacency_matrix, parse_connection_set
 from cayleypst.cli import _edges, main, parse_time_literal
 from conftest import cset, group, z433_transfer_sets
@@ -403,3 +406,25 @@ def test_output_memory_is_a_small_multiple_of_the_output_size(monkeypatch, argv)
         tracemalloc.stop()
     assert sink.size > 2_000_000
     assert peak <= 2 * sink.size
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("classes", "-g", "Z65536"), ("export", "-g", "Z16384", "-c", "{1,16383}", "--format", "dot")],
+    ids=["classes", "export-dot"],
+)
+def test_a_reader_that_stops_early_ends_the_command_quietly(argv):
+    # megabytes of output against a pipe buffer of kilobytes: writing fails once the reader is gone
+    src = os.path.dirname(os.path.dirname(cayleypst.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cayleypst.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
