@@ -2,7 +2,8 @@
 
 Every command is pure input to stdout (or --out file).  Exit codes: 0 on
 success, 1 on domain outcomes the user asked to treat as fatal (non-integral
-spectra, cross-validation mismatches, --fail-on-no-pst), 2 on input errors.
+spectra, cross-validation mismatches, --fail-on-no-pst), 2 on input errors
+and on running out of memory.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ from .walk import (
     transition_amplitude,
 )
 
-_PI_LITERAL = re.compile(r"(\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+))?", re.IGNORECASE)
+_PI_LITERAL = re.compile(r"(-)?\s*(\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+))?", re.IGNORECASE)
 
 
 def parse_time_literal(text: str) -> tuple[str, float]:
-    """Parse 'pi/2', '3pi/4', '2*pi' or a plain float; returns (label, value).
+    """Parse 'pi/2', '3pi/4', '2*pi', '-pi/2' or a plain float; returns (label, value).
 
     Rational multiples of pi stay symbolic in the label and are converted to a
     float only here, at the last moment.
@@ -58,15 +59,16 @@ def parse_time_literal(text: str) -> tuple[str, float]:
     stripped = text.strip().lower()
     match = _PI_LITERAL.fullmatch(stripped)
     if match:
-        numerator = int(match.group(1)) if match.group(1) else 1
-        denominator = int(match.group(2)) if match.group(2) else 1
+        sign, numerator, denominator = match.groups()
+        numerator = int(numerator) if numerator else 1
+        denominator = int(denominator) if denominator else 1
         if numerator < 1 or denominator < 1:
             raise ValueError(f"bad time literal {text!r}")
-        label = ("pi" if numerator == 1 else f"{numerator}pi") + (
+        label = (sign or "") + ("pi" if numerator == 1 else f"{numerator}pi") + (
             "" if denominator == 1 else f"/{denominator}"
         )
         try:
-            value = numerator * math.pi / denominator
+            value = (-numerator if sign else numerator) * math.pi / denominator
         except OverflowError:
             value = math.inf
     else:
@@ -383,6 +385,10 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # like a size cap: the input is too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -11,8 +11,9 @@ ConnectionSet is held as the sorted array of its members' indices, and the
 set algebra (validation, power-closure, valuation buckets, scalar
 multiples) runs on numpy index arrays.  Each group has one cached set of
 index tables over all its elements (negation, element order and its
-2-adic valuation, power-class ids, the x2, x4 and odd-part maps), and the
-exact class-sum matrix of its characters over its power classes, each
+2-adic valuation, power-class ids, the x2, x4 and odd-part maps), the same
+structure per power class (valuation, and the classes of 2g and 4g), and
+the exact class-sum matrix of its characters over its power classes, each
 built on first use.  They take O(|G|) memory, so index-backed operations
 refuse groups of more than MAX_ORDER elements.
 """
@@ -447,6 +448,34 @@ class _IndexTables:
         return _frozen(np.bincount(self.class_id))
 
     @cached_property
+    def class_reps(self) -> np.ndarray:
+        """The index of one member of each power class; any member represents its class."""
+        reps = np.empty(len(self.class_size), dtype=np.intp)
+        reps[self.class_id] = np.arange(self.group.order)
+        return _frozen(reps)
+
+    @cached_property
+    def class_valuation(self) -> np.ndarray:
+        """2-adic valuation of the element order of each power class."""
+        order = self.order[self.class_reps]
+        return _frozen(np.log2(order & -order).astype(np.intp))
+
+    @cached_property
+    def class_buckets(self) -> tuple[list[int], list[int], list[int]]:
+        """Ids of the power classes of valuation 0, 1 and 2, in class order."""
+        return tuple(np.flatnonzero(self.class_valuation == k).tolist() for k in range(3))
+
+    @cached_property
+    def class_times2(self) -> np.ndarray:
+        """Power class of 2g for g in each class; x2 maps a power class onto a power class."""
+        return _frozen(self.class_id[_scaled(self.group, 2, self.coords[:, self.class_reps])])
+
+    @cached_property
+    def class_times4(self) -> np.ndarray:
+        """Power class of 4g for g in each class."""
+        return _frozen(self.class_id[_scaled(self.group, 4, self.coords[:, self.class_reps])])
+
+    @cached_property
     def class_sums(self) -> np.ndarray:
         """Exact class-sum matrix: S[D, K] is the sum over power class K of any character in D.
 
@@ -458,8 +487,7 @@ class _IndexTables:
         phi(m/gcd(m,s)).  The entries are integers of modulus at most |G|,
         held as float64 so that every product with S is exact.
         """
-        reps = np.empty(len(self.class_size), dtype=np.intp)
-        reps[self.class_id] = np.arange(self.group.order)
+        reps = self.class_reps
         coords, m = self.coords[:, reps], self.order[reps]
         # m * r_K is the identity, so each m * r_K,i / n_i is an integer
         scaled = coords * m // np.array(self.group.factors)[:, None]
@@ -491,6 +519,12 @@ class _IndexTables:
         """Indices of the involution a and of the order-four pair b, -b."""
         special = (self.transfer_pair[1], *order_four_pair(self.group))
         return tuple(self.group.index_of(g) for g in special)
+
+    @cached_property
+    def transfer_classes(self) -> tuple[int, int]:
+        """Power classes of the involution a and of the order-four pair: {a} and {b, -b}."""
+        a, b, _ = self.transfer_indices
+        return int(self.class_id[a]), int(self.class_id[b])
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -559,16 +593,23 @@ def is_power_closed(connection_set) -> bool:
     """True iff the set is a union of power classes.
 
     Accepts a ConnectionSet or any iterable of elements, so sets that are not
-    inverse-closed can still be classified.
+    inverse-closed can still be classified.  A ConnectionSet keeps the answer.
     """
+    if isinstance(connection_set, ConnectionSet):
+        closed = connection_set._power_closed
+        if closed is None:
+            tables = _tables(connection_set.group)
+            closed = _is_class_union(tables, _class_mask(connection_set), connection_set.indices)
+            object.__setattr__(connection_set, "_power_closed", closed)
+        return closed
     group, indices = _index_set(connection_set)
     if group is None:
         return True
     tables = _tables(group)
-    if isinstance(connection_set, ConnectionSet):
-        met = _class_mask(connection_set)
-    else:
-        met = _classes_met(tables, indices)
+    return _is_class_union(tables, _classes_met(tables, indices), indices)
+
+
+def _is_class_union(tables: _IndexTables, met: np.ndarray, indices: np.ndarray) -> bool:
     # the classes a set meets hold all of its elements, and more unless it is their union
     return bool(met @ tables.class_size == len(indices))
 
@@ -623,10 +664,20 @@ class ConnectionSet:
     use.  `loops_allowed` records that the identity was present in the raw
     input and stripped (a loop at every vertex, which never affects
     transfer).  The mask of the power classes it meets is also kept once
-    read: power-closure, the spectrum and the walk all start from it.
+    read, and so is whether the set is power-closed: the spectrum, the walk
+    and the structural conditions all start from them.  So are its
+    character sums, once the FFT has computed them (spectra._character_sums).
     """
 
-    __slots__ = ("group", "indices", "loops_allowed", "_elements", "_class_mask")
+    __slots__ = (
+        "group",
+        "indices",
+        "loops_allowed",
+        "_elements",
+        "_class_mask",
+        "_power_closed",
+        "_character_sums",
+    )
 
     def __init__(
         self, group: AbelianGroup, elements: Iterable[GroupElement], loops_allowed: bool = False
@@ -642,6 +693,18 @@ class ConnectionSet:
         connection_set._init(group, indices, loops_allowed)
         return connection_set
 
+    @classmethod
+    def _from_class_mask(cls, group: AbelianGroup, mask: np.ndarray) -> ConnectionSet:
+        """The union of the power classes marked 1 in a 0/1 float64 class mask.
+
+        The identity's class must be unmarked.  Power classes are
+        inverse-closed, so nothing is validated, and the set keeps the mask.
+        """
+        connection_set = cls.__new__(cls)
+        indices = mask[_tables(group).class_id].nonzero()[0]
+        connection_set._store(group, indices, False, _frozen(mask), True)
+        return connection_set
+
     def _init(self, group, indices, loops_allowed) -> None:
         if len(indices) and indices[0] == 0:
             raise ValueError(
@@ -654,11 +717,16 @@ class ConnectionSet:
             raise ValueError(
                 f"set is not inverse-closed: missing inverse of {group.element_at(first)!r}"
             )
+        self._store(group, indices, loops_allowed, None, None)
+
+    def _store(self, group, indices, loops_allowed, class_mask, power_closed) -> None:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "indices", _frozen(indices))
         object.__setattr__(self, "loops_allowed", loops_allowed)
         object.__setattr__(self, "_elements", None)
-        object.__setattr__(self, "_class_mask", None)
+        object.__setattr__(self, "_class_mask", class_mask)
+        object.__setattr__(self, "_power_closed", power_closed)
+        object.__setattr__(self, "_character_sums", None)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"ConnectionSet is immutable; cannot set {name!r}")

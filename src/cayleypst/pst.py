@@ -22,6 +22,7 @@ from .groups import (
     CapExceededError,
     ConnectionSet,
     GroupElement,
+    _class_mask,
     _even_factor_index,
     _require_bound_set,
     _tables,
@@ -30,12 +31,14 @@ from .groups import (
     subgroup_4m,
     sylow2_cyclic,
 )
-from .spectra import delta, integral_spectrum
+from .spectra import _class_spectrum, integral_spectrum
 from .walk import detect_pst_numeric
 
 TRANSFER_TIME = math.pi / 2
 _TIME_LABEL = "pi/2"
 CROSS_VALIDATE_MAX_ORDER = 128
+# Census candidates whose class masks are built in one numpy call.
+_CANDIDATE_BLOCK = 1024
 
 
 class Verdict(str, enum.Enum):
@@ -120,6 +123,42 @@ def scan_agrees(report: PstReport, detection) -> bool | None:
     return not claimed or detection.target == report.pair[1]
 
 
+def _member_conditions(tables, connection_set: ConnectionSet) -> dict[str, bool]:
+    """The four conditions for d >= 2, member by member, for any connection set."""
+    a, b, b_inv = tables.transfer_indices
+    members = connection_set.indices.tolist()
+    c0, c1, c2 = _valuation_buckets(connection_set)
+    core = c2[(c2 != b) & (c2 != b_inv)]
+    return {
+        "power_closed": is_power_closed(connection_set),
+        "exactly_one_of_a_b": (a in members) != (b in members),
+        "c0_equals_4c2": _same_set(c0, tables.times4[core]),
+        "c1_equals_2c2": _same_set(c1[c1 != a], tables.times2[core]),
+    }
+
+
+def _class_conditions(tables, mask: np.ndarray) -> dict[str, bool]:
+    """The four conditions for d >= 2 of a power-closed set, from its 0/1 class mask.
+
+    x2 and x4 map a power class onto a power class, so both sides of
+    C_0 = 4*(C_2 minus {b, -b}) and C_1 minus {a} = 2*(C_2 minus {b, -b}) are
+    unions of classes, and each holds iff the classes on its two sides agree.
+    {a} and {b, -b} are classes of their own.
+    """
+    a, b = tables.transfer_classes
+    bucket0, bucket1, bucket2 = tables.class_buckets
+    # k is small: Python sets of class ids beat numpy calls on arrays this short
+    meets = mask.tolist()
+    times2, times4 = tables.class_times2.tolist(), tables.class_times4.tolist()
+    core = [i for i in bucket2 if meets[i] and i != b]
+    return {
+        "power_closed": True,
+        "exactly_one_of_a_b": meets[a] != meets[b],
+        "c0_equals_4c2": {i for i in bucket0 if meets[i]} == {times4[i] for i in core},
+        "c1_equals_2c2": {i for i in bucket1 if meets[i] and i != a} == {times2[i] for i in core},
+    }
+
+
 def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstReport:
     """Decide perfect state transfer from the structure of the connection set.
 
@@ -130,7 +169,8 @@ def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstR
     involution) and b (an order-four element) lies in C, and the valuation
     buckets satisfy C_0 = 4*(C_2 minus {b, -b}) and C_1 minus {a} = 2*(C_2
     minus {b, -b}).  Positive verdicts always name the pair (identity, a) and
-    the time pi/2.
+    the time pi/2.  A power-closed set is decided on its class mask; only a
+    set that is not power-closed is checked member by member.
     """
     _require_bound_set(group, connection_set)
     tables = _tables(group)
@@ -160,16 +200,10 @@ def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstR
             ),
         )
 
-    a, b, b_inv = tables.transfer_indices
-    members = connection_set.indices.tolist()
-    c0, c1, c2 = _valuation_buckets(connection_set)
-    core = c2[(c2 != b) & (c2 != b_inv)]
-    conditions = {
-        "power_closed": is_power_closed(connection_set),
-        "exactly_one_of_a_b": (a in members) != (b in members),
-        "c0_equals_4c2": _same_set(c0, tables.times4[core]),
-        "c1_equals_2c2": _same_set(c1[c1 != a], tables.times2[core]),
-    }
+    if is_power_closed(connection_set):
+        conditions = _class_conditions(tables, _class_mask(connection_set))
+    else:
+        conditions = _member_conditions(tables, connection_set)
     if all(conditions.values()):
         return _positive(group, conditions)
     failed = tuple(f"condition {name} failed" for name, ok in conditions.items() if not ok)
@@ -230,23 +264,30 @@ def character_criterion(group: AbelianGroup, connection_set: ConnectionSet) -> b
     this holds exactly when transfer from the identity to a occurs at time
     pi/delta.  Returns False when no involution exists (odd order) or when
     delta is undefined (a single eigenvalue); propagates
-    NonIntegralSpectrumError for non-power-closed sets.
+    NonIntegralSpectrumError for non-power-closed sets.  On the class-space
+    route it reads the k class eigenvalues, not the |G|-length spectrum.
     """
     _require_bound_set(group, connection_set)
-    spectrum = integral_spectrum(group, connection_set)
+    per_class = _class_spectrum(group, connection_set) if len(connection_set) else None
+    if per_class is None:
+        # every character; NonIntegralSpectrumError unless the set is power-closed
+        values, characters = integral_spectrum(group, connection_set).values, np.arange(group.order)
+    else:
+        # one character of each dual power class
+        values, characters = per_class.astype(np.int64), _tables(group).class_reps
     if group.d == 0:
         return False
     even = _even_factor_index(group)  # ValueError unless the Sylow-2-subgroup is cyclic
-    gap = delta(spectrum)
-    if gap is None:
+    # a is n/2 on the even factor Z_n and 0 elsewhere, so chi_j(a) = (-1)**j_e, with
+    # j_e the character's coordinate on that factor; units are odd and n is even,
+    # so j_e has one parity across a dual power class
+    n, inner = group.factors[even], math.prod(group.factors[even + 1 :])
+    gap = int(np.gcd.reduce(values.max() - values))
+    if not gap:
         return False
-    # |C| is the top eigenvalue, so delta divides every |C| - chi(C)
-    steps = (len(connection_set) - spectrum.values) // gap
-    # a is n/2 on the even factor Z_n and 0 elsewhere, so chi_j(a) = (-1)**j_e,
-    # with j_e the character's coordinate on that factor
-    n = group.factors[even]
-    wanted = (steps % 2).reshape(-1, n, math.prod(group.factors[even + 1 :]))
-    return bool((wanted == (np.arange(n) % 2)[:, None]).all())
+    # |C| is the top eigenvalue, so the gap divides every |C| - chi(C)
+    steps = (len(connection_set) - values) // gap
+    return bool((steps % 2 == characters // inner % n % 2).all())
 
 
 @dataclass(frozen=True)
@@ -310,14 +351,13 @@ def enumerate_pst_sets(
     """
     if not sylow2_cyclic(group):
         raise ValueError(f"{group} is out of scope: its Sylow-2-subgroup is not cyclic")
-    all_classes = power_class_indices(group)
-    if 1 << len(all_classes) > MAX_ORDER:
+    tables = _tables(group)
+    count = len(tables.class_size)
+    if 1 << count > MAX_ORDER:
         raise CapExceededError(
-            f"{group} has {len(all_classes)} power classes, and 2^{len(all_classes)} is "
+            f"{group} has {count} power classes, and 2^{count} is "
             f"above the cap of {MAX_ORDER} (cayleypst.groups.MAX_ORDER)"
         )
-    # the identity (index 0) is a class of its own; a class's key is its least index
-    classes = [members for members in all_classes if members[0] != 0]
     if cross_validate is None:
         cross_validate = group.order <= CROSS_VALIDATE_MAX_ORDER
         if not cross_validate:
@@ -327,19 +367,25 @@ def enumerate_pst_sets(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    empty = np.empty(0, dtype=np.intp)
+    # the identity is power class 0, never chosen: bit i of candidate n marks class i + 1
+    total = 1 << (count - 1)
+    # a class's key is its least member's index
+    keys = [int(members[0]) for members in power_class_indices(group)]
     found: list[tuple[int, tuple, ConnectionSet]] = []
-    for mask in range(1 << len(classes)):
-        chosen = [members for i, members in enumerate(classes) if (mask >> i) & 1]
-        candidate = ConnectionSet._from_indices(group, np.sort(np.concatenate([empty, *chosen])))
-        report = characterize_pst(group, candidate)
-        if cross_validate:
-            detection = detect_pst_numeric(group, candidate, TRANSFER_TIME)
-            if not scan_agrees(report, detection):
-                raise CrossValidationError(candidate, report, detection)
-        if report.verdict is Verdict.PST:
-            keys = tuple(sorted(int(members[0]) for members in chosen))
-            found.append((len(candidate), keys, candidate))
+    for start in range(0, total, _CANDIDATE_BLOCK):
+        numbers = np.arange(start, min(start + _CANDIDATE_BLOCK, total))
+        masks = (numbers[:, None] << 1 >> np.arange(count) & 1).astype(np.float64)
+        for mask in masks:
+            # a copy: a row of the block would keep the whole block alive in every set found
+            candidate = ConnectionSet._from_class_mask(group, mask.copy())
+            report = characterize_pst(group, candidate)
+            if cross_validate:
+                detection = detect_pst_numeric(group, candidate, TRANSFER_TIME)
+                if not scan_agrees(report, detection):
+                    raise CrossValidationError(candidate, report, detection)
+            if report.verdict is Verdict.PST:
+                chosen = sorted(keys[i] for i in np.flatnonzero(mask))
+                found.append((len(candidate), tuple(chosen), candidate))
     # index order is lexicographic coordinate order, so the keys sort as coordinates would
     found.sort(key=lambda item: item[:2])
     return [candidate for _, _, candidate in found]

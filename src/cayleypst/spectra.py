@@ -14,7 +14,8 @@ most MAX_CLASSES power classes take this class-space route.  Every other
 case (a set that is not power-closed, or a group with more classes) takes
 the one FFT kernel: the vector of all character sums is numpy's ifftn over
 `group.factors`, in O(|G| log |G|) time and O(|G|) memory, and its sums are
-rounded to integers.  The dense character table is a test oracle only.
+rounded to integers; a set keeps its sums, so it pays for one forward
+transform.  The dense character table is a test oracle only.
 """
 
 from __future__ import annotations
@@ -157,6 +158,17 @@ def _indicator(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray
     return vec
 
 
+def _character_sums(connection_set: ConnectionSet) -> np.ndarray:
+    """Every character sum of a set, by the FFT, computed once and kept on the set."""
+    sums = connection_set._character_sums
+    if sums is None:
+        group = connection_set.group
+        sums = _character_transform(group, _indicator(group, connection_set))
+        sums.setflags(write=False)
+        object.__setattr__(connection_set, "_character_sums", sums)
+    return sums
+
+
 def _class_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray | None:
     """Eigenvalue of each dual power class, S @ mask, exact; None off the class-space route.
 
@@ -261,7 +273,7 @@ def integral_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> Spe
     if per_class is not None:
         tables = _tables(group)
         return Spectrum._from_values(group, per_class.astype(np.int64)[tables.class_id])
-    sums = _character_transform(group, _indicator(group, connection_set))
+    sums = _character_sums(connection_set)
     nearest = np.rint(sums.real)
     residual = np.abs(sums - nearest)
     if not is_power_closed(connection_set):

@@ -10,7 +10,8 @@ power-closed set on a group of at most spectra.MAX_CLASSES power classes it
 is constant on power classes (multiplying by a unit is a graph automorphism
 that fixes the identity), so it is S @ exp(i*t*S @ mask) / |G| with S the
 exact class-sum matrix: one small matvec each way, and no |G| x |G| table.
-Every other set takes two FFTs over the factor shape.
+The numeric scans read those k class amplitudes and never gather the |G|
+entries.  Every other set takes two FFTs over the factor shape.
 """
 
 from __future__ import annotations
@@ -31,7 +32,13 @@ from .groups import (
     check_square,
     is_power_closed,
 )
-from .spectra import _character_transform, _class_spectrum, _indicator, integral_spectrum
+from .spectra import (
+    _character_sums,
+    _character_transform,
+    _class_spectrum,
+    _indicator,
+    integral_spectrum,
+)
 from .spectra import character_table  # noqa: F401  (perfbench/tracer.py rebinds walk.character_table)
 
 DENSE_ORDER_CAP = 512
@@ -54,34 +61,49 @@ def adjacency_matrix(group: AbelianGroup, connection_set: ConnectionSet) -> np.n
     return indicator[_difference_index(group)]
 
 
-def _identity_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> np.ndarray:
-    """Row of the transition matrix at the identity vertex, via characters.
+def _class_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> np.ndarray | None:
+    """Amplitude of each power class on the identity row; None off the class-space route.
 
     On the class-space route the row is constant on power classes, and the
     class-sum matrix S maps the class phases to it; the pairing is
-    symmetric, so the same S serves both directions.  Otherwise an
-    inverse-closed set has real character sums; keeping their round-off
-    imaginary parts out of the phases keeps the row a unit vector at every t.
-    A power-closed set takes its exact integer eigenvalues, since t times the
-    FFT's round-off would grow with t.  No eigenvalue exceeds |C| in modulus,
-    so a finite t * |C| bounds every phase.
+    symmetric, so the same S serves both directions.  The empty set takes
+    the element route, whose row needs no table.  No eigenvalue exceeds |C|
+    in modulus, so a finite t * |C| bounds every phase.
     """
     _require_bound_set(group, connection_set)
     size = len(connection_set)
     if not math.isfinite(t * size):
         raise ValueError(f"time {t!r} is too large: the phase t * |C| overflows for |C| = {size}")
-    if not size:
+    per_class = _class_spectrum(group, connection_set) if size else None
+    if per_class is None:
+        return None
+    return _tables(group).class_sums @ np.exp(1j * t * per_class) / group.order
+
+
+def _element_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> np.ndarray:
+    """The identity row off the class-space route, one entry per element, by the FFT.
+
+    An inverse-closed set has real character sums; keeping their round-off
+    imaginary parts out of the phases keeps the row a unit vector at every
+    t.  A power-closed set takes its exact integer eigenvalues, since t
+    times the FFT's round-off would grow with t.
+    """
+    if not len(connection_set):
         # the empty graph never moves
         return np.eye(1, group.order, dtype=np.complex128)[0]
-    per_class = _class_spectrum(group, connection_set)
-    if per_class is not None:
-        tables = _tables(group)
-        return (tables.class_sums @ np.exp(1j * t * per_class) / group.order)[tables.class_id]
     if is_power_closed(connection_set):
         eigenvalues = integral_spectrum(group, connection_set).values
     else:
-        eigenvalues = _character_transform(group, _indicator(group, connection_set)).real
+        eigenvalues = _character_sums(connection_set).real
     return _character_transform(group, np.exp(1j * t * eigenvalues), inverse=True)
+
+
+def _identity_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> np.ndarray:
+    """Row of the transition matrix at the identity vertex, via characters."""
+    per_class = _class_row(group, connection_set, t)
+    if per_class is None:
+        return _element_row(group, connection_set, t)
+    return per_class[_tables(group).class_id]
 
 
 @dataclass(frozen=True)
@@ -167,14 +189,18 @@ def detect_pst_numeric(
 
     Translation invariance makes the identity row representative of every
     vertex.  Returns the entry whose modulus reaches 1 - 1e-9, or None; the
-    row is a unit vector, so no two entries can.
+    row is a unit vector, so no two entries can.  On the class-space route
+    the k class amplitudes are scanned instead of the |G| entries: a class
+    of two or more members would carry twice the row's norm, so a hit is a
+    one-member class, and its member and amplitude are the row's.
     """
-    row = _identity_row(group, connection_set, t)
-    hits = (np.flatnonzero(np.abs(row[1:]) >= 1.0 - _SCAN_TOL) + 1).tolist()
-    if not hits:
+    per_class = _class_row(group, connection_set, t)
+    row = _element_row(group, connection_set, t) if per_class is None else per_class
+    hit = int(np.abs(row[1:]).argmax()) + 1
+    if abs(row[hit]) < 1.0 - _SCAN_TOL:
         return None
-    target = group.element_at(hits[0])
-    return PstDetection(group.identity, target, complex(row[hits[0]]))
+    target = hit if per_class is None else _tables(group).class_reps[hit]
+    return PstDetection(group.identity, group.element_at(target), complex(row[hit]))
 
 
 def is_periodic_numeric(
@@ -184,7 +210,10 @@ def is_periodic_numeric(
 ) -> bool:
     """True iff |U(t)| at the identity diagonal entry is within 1e-9 of 1.
 
-    By translation invariance this settles periodicity of every vertex.
+    By translation invariance this settles periodicity of every vertex.  The
+    identity is a power class of its own, the first, so on the class-space
+    route its amplitude is the first class amplitude.
     """
-    row = _identity_row(group, connection_set, t)
+    per_class = _class_row(group, connection_set, t)
+    row = _element_row(group, connection_set, t) if per_class is None else per_class
     return bool(abs(row[0]) >= 1.0 - _SCAN_TOL)

@@ -1,11 +1,16 @@
-"""The class-space spectral route against the dense character table and the FFT kernel."""
+"""The class-space routes against their references.
+
+The spectrum and the walk row against the dense character table and the FFT
+kernel; the structural conditions against the member-level conditions; the
+class scan against the row scan; the criterion against a character loop.
+"""
 
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cayleypst
@@ -24,11 +29,18 @@ from cayleypst import (
     integral_spectrum,
     transition_matrix,
 )
-from cayleypst import groups, spectra, walk
-from cayleypst.groups import MAX_ORDER, _tables
+from cayleypst import groups, is_periodic_numeric, list_power_classes, pst, spectra, walk
+from cayleypst.groups import MAX_ORDER, _class_mask, _tables
 from cayleypst.spectra import MAX_CLASSES, _character_transform, _class_spectrum, _indicator
 from cayleypst.walk import _identity_row
-from conftest import cset, group, random_class_union
+from conftest import (
+    brute_element_order,
+    cset,
+    group,
+    loop_character_criterion,
+    random_class_union,
+    two_part,
+)
 
 # Groups whose Sylow-2-subgroup is not cyclic, and Z2^9, whose 512 power
 # classes are above MAX_CLASSES.
@@ -141,3 +153,174 @@ def test_character_table_is_capped_like_every_square_matrix():
             f"{spec} has {spec[1:]} elements, too many for a |G| x |G| matrix: "
             f"|G|^2 is above the cap of {MAX_ORDER} (cayleypst.groups.MAX_ORDER)"
         )
+
+
+@st.composite
+def cyclic_sylow2_groups(draw, min_d=2):
+    """Groups of order <= 256 with one factor 2^d * u (u odd, d >= min_d), in any position, and odd others."""
+    d = draw(st.integers(min_d, 6))
+    factors = draw(st.lists(st.sampled_from([3, 5, 7, 9, 15, 25, 27]), max_size=3))
+    first = (1 << d) * draw(st.sampled_from([1, 1, 3, 5]))
+    factors.insert(draw(st.integers(0, len(factors))), first)
+    factors = [n for n in factors if n > 1]
+    assume(factors and math.prod(factors) <= 256)
+    return AbelianGroup(tuple(factors))
+
+
+def near_transfer_set(g, rng, with_a, with_b):
+    """A power-closed set built like a transfer set, perhaps spoiled, with a and {b, -b} as asked.
+
+    S is a random union of odd-order classes; the set is S + {0, a, b, -b},
+    plus random classes of valuation >= 3, and half the time one random class
+    is toggled.  The pieces come from element arithmetic, not from the tables.
+    """
+    a = groups.unique_involution(g)
+    b, b_inv = groups.order_four_pair(g)
+    classes = [cls for cls in list_power_classes(g) if g.identity not in cls]
+    valuation = {cls: two_part(brute_element_order(g, next(iter(cls))))[0] for cls in classes}
+    members = set()
+    for cls in classes:
+        if valuation[cls] == 0 and rng.random() < 0.5:
+            members.update(x + shift for x in cls for shift in (g.identity, a, b, b_inv))
+        elif valuation[cls] >= 3 and rng.random() < 0.5:
+            members.update(cls)
+    if rng.random() < 0.5:
+        members ^= set(rng.choice(classes))
+    members -= {a, b, b_inv}
+    members |= ({a} if with_a else set()) | ({b, b_inv} if with_b else set())
+    return ConnectionSet(g, frozenset(members))
+
+
+def row_scan(g, row):
+    """The scan of a whole identity row: first off-diagonal entry of modulus 1 - 1e-9 or more."""
+    hits = np.flatnonzero(np.abs(row[1:]) >= 1.0 - 1e-9) + 1
+    return (g.element_at(hits[0]), complex(row[hits[0]])) if len(hits) else None
+
+
+def test_per_class_tables_hold_for_every_member():
+    for spec in ("Z4xZ3xZ3", "Z8xZ9", "Z5xZ32xZ3", "Z2xZ2xZ3", "Z9", "Z12xZ5"):
+        g = group(spec)
+        tables = _tables(g)
+        for k, members in enumerate(tables.class_members):
+            assert tables.class_id[tables.class_reps[k]] == k
+            assert set(tables.valuation[members].tolist()) == {tables.class_valuation[k]}
+            assert set(tables.class_id[tables.times2[members]].tolist()) == {tables.class_times2[k]}
+            assert set(tables.class_id[tables.times4[members]].tolist()) == {tables.class_times4[k]}
+        buckets = [np.flatnonzero(tables.class_valuation == v).tolist() for v in range(3)]
+        assert list(tables.class_buckets) == buckets
+        if groups.sylow2_cyclic(g) and g.d >= 2:
+            a, b = tables.transfer_classes
+            pair = sorted(g.index_of(x) for x in groups.order_four_pair(g))
+            assert tables.class_members[a].tolist() == [g.index_of(groups.unique_involution(g))]
+            assert tables.class_members[b].tolist() == pair
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclic_sylow2_groups(), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+@example(group("Z4xZ3xZ3"), 0, True, False)
+@example(group("Z3xZ32xZ5"), 7, False, True)
+def test_class_conditions_equal_the_member_conditions(g, seed, with_a, with_b):
+    c = near_transfer_set(g, random.Random(seed), with_a, with_b)
+    tables = _tables(g)
+    by_class = pst._class_conditions(tables, _class_mask(c))
+    by_member = pst._member_conditions(tables, c)
+    assert list(by_class.items()) == list(by_member.items())
+    assert all(type(ok) is bool for ok in by_class.values())
+    # a set made from its class mask is the same set, with the same report
+    made = ConnectionSet._from_class_mask(g, _class_mask(c).copy())
+    assert made == c and np.array_equal(_class_mask(made), _class_mask(c))
+    assert characterize_pst(g, made) == characterize_pst(g, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cyclic_sylow2_groups(),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+    st.floats(0.1, 50.0),
+)
+@example(group("Z4xZ3xZ3"), 0, True, False, 1.0)
+def test_class_scan_matches_the_row_scan(g, seed, with_a, with_b, t_other):
+    c = near_transfer_set(g, random.Random(seed), with_a, with_b)
+    report = characterize_pst(g, c)
+    for t in (math.pi / 2, math.pi, t_other):
+        row = _identity_row(g, c, t)
+        detection = detect_pst_numeric(g, c, t)
+        expected = row_scan(g, row)
+        if expected is None:
+            assert detection is None
+        else:
+            assert detection.target == expected[0]
+            # bit for bit: the class amplitude is the row entry
+            assert np.complex128(detection.phase).tobytes() == np.complex128(expected[1]).tobytes()
+        assert is_periodic_numeric(g, c, t) == bool(abs(row[0]) >= 1.0 - 1e-9)
+    assert pst.scan_agrees(report, detect_pst_numeric(g, c, math.pi / 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclic_sylow2_groups(min_d=0), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+@example(group("Z4xZ3xZ3"), 0, True, False)
+@example(group("Z2xZ9"), 0, True, False)
+@example(group("Z27"), 0, True, False)
+def test_class_space_criterion_matches_the_character_loop(g, seed, with_a, with_b):
+    rng = random.Random(seed)
+    if g.d >= 2:
+        c = near_transfer_set(g, rng, with_a, with_b)
+    else:
+        c = random_class_union(g, rng)
+    assert len(_tables(g).class_size) <= MAX_CLASSES
+    assert character_criterion(g, c) == loop_character_criterion(g, c)
+
+
+def test_class_space_criterion_reads_no_spectrum(monkeypatch):
+    def refuse(group, connection_set):
+        raise AssertionError("the class-space criterion read the |G|-length spectrum")
+
+    g, rng = group("Z8xZ9"), random.Random(5)
+    sets = [near_transfer_set(g, rng, with_a, not with_a) for with_a in (True, False)] * 4
+    expected = [loop_character_criterion(g, c) for c in sets]
+    monkeypatch.setattr(pst, "integral_spectrum", refuse)
+    assert [character_criterion(g, c) for c in sets] == expected
+    assert any(expected) and not all(expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_off_the_class_route_the_criterion_and_scan_match_their_references(seed):
+    # Z4xZ3^5 has more than MAX_CLASSES power classes: the criterion and the
+    # scan read the FFT; the structural conditions are decided on classes all the same
+    g = group("Z4x" + "x".join(["Z3"] * 5))
+    tables = _tables(g)
+    assert len(tables.class_size) > MAX_CLASSES
+    rng = random.Random(seed)
+    for c in (near_transfer_set(g, rng, True, False), random_class_union(g, rng)):
+        assert character_criterion(g, c) == loop_character_criterion(g, c)
+        assert pst._class_conditions(tables, _class_mask(c)) == pst._member_conditions(tables, c)
+        detection = detect_pst_numeric(g, c, math.pi / 2)
+        assert pst.scan_agrees(characterize_pst(g, c), detection)
+        expected = row_scan(g, _identity_row(g, c, math.pi / 2))
+        assert (detection is None) == (expected is None)
+
+
+def test_a_set_that_is_not_power_closed_takes_two_transforms(monkeypatch):
+    # a sweep decision: the verdict, the scan at pi/2 and the criterion's witness
+    g = group("Z8xZ3")
+    literal = [(1, 0), (7, 0), (0, 1), (0, 2)]
+    with pytest.raises(NonIntegralSpectrumError) as fresh:
+        integral_spectrum(g, cset(g, literal))
+    transforms = []
+    ifftn = np.fft.ifftn
+
+    def counted(*args, **kwargs):
+        transforms.append(kwargs.get("norm"))
+        return ifftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifftn", counted)
+    c = cset(g, literal)
+    assert characterize_pst(g, c).verdict is Verdict.NO_PST
+    assert detect_pst_numeric(g, c, math.pi / 2) is None
+    with pytest.raises(NonIntegralSpectrumError) as err:
+        character_criterion(g, c)
+    assert transforms == ["forward", "backward"]
+    assert str(err.value) == str(fresh.value)
+    assert err.value.index == fresh.value.index

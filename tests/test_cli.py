@@ -39,6 +39,27 @@ def test_parse_time_literal():
             parse_time_literal(text)
 
 
+def test_parse_time_literal_takes_a_minus_sign():
+    assert parse_time_literal("-pi/2") == ("-pi/2", -math.pi / 2)
+    assert parse_time_literal(" -3*PI/4 ") == ("-3pi/4", -3 * math.pi / 4)
+    assert parse_time_literal("-pi") == ("-pi", -math.pi)
+    for text in ("--pi", "-0pi", "pi-", "-", "-1" + "0" * 400 + "pi"):
+        with pytest.raises(ValueError):
+            parse_time_literal(text)
+
+
+@pytest.mark.parametrize("spec, literal, target", [("Z4", "{1,3}", "2"), ("Z8xZ3", "{(2,0),(6,0)}", "(4,0)")])
+def test_a_negative_pi_fraction_walks_like_its_float(capsys, spec, literal, target):
+    docs = []
+    for time in ("-t=-pi/2", "-t=-1.5707963267948966"):
+        code, out, err = run_cli(capsys, "walk", "-g", spec, "-c", literal, time, "--target", target)
+        assert (code, err) == (0, "")
+        docs.append(json.loads(out))
+    assert [doc["time"] for doc in docs] == ["-pi/2", "-1.5707963267948966"]
+    assert docs[0]["time_value"] == docs[1]["time_value"] == -math.pi / 2
+    assert docs[0]["amplitude"] == docs[1]["amplitude"]
+
+
 def test_check_reference_set_from_file(capsys, tmp_path):
     _, with_a, _ = z433_transfer_sets()
     path = tmp_path / "set.json"
@@ -428,3 +449,31 @@ def test_a_reader_that_stops_early_ends_the_command_quietly(argv):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (0, b"")
+
+
+def test_running_out_of_memory_is_one_line_and_exit_2():
+    # the address-space limit is set in the child only; one BLAS thread keeps
+    # numpy's own start-up far below it, so the first |G| tables fail
+    import resource
+
+    limit = 256 << 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(cayleypst.__file__))
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleypst.cli", "classes", "-g", "Z4194304"],
+        capture_output=True,
+        env=env,
+        preexec_fn=limit_memory,
+        timeout=120,
+    )
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == 2, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: "), lines
