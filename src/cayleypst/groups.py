@@ -110,13 +110,33 @@ class AbelianGroup:
         return _element(self, (0,) * len(self.factors))
 
     def element(self, coords: Iterable[int]) -> GroupElement:
-        """Build an element, reducing each coordinate modulo its factor."""
+        """Build an element, reducing each coordinate modulo its factor.
+
+        A coordinate must be an integer (a Python or numpy int, or a bool):
+        a float or a string raises ValueError instead of being truncated.
+        """
         raw = tuple(coords)
-        if len(raw) != len(self.factors):
-            raise ValueError(
-                f"expected {len(self.factors)} coordinates for {self}, got {len(raw)}"
-            )
-        return _element(self, tuple(map(operator.mod, map(int, raw), self.factors)))
+        factors = self.factors
+        if len(raw) != len(factors):
+            raise ValueError(f"expected {len(factors)} coordinates for {self}, got {len(raw)}")
+        try:
+            reduced = tuple(map(operator.mod, map(operator.index, raw), factors))
+        except TypeError:
+            for position, value in enumerate(raw):
+                try:
+                    operator.index(value)
+                except TypeError:
+                    raise ValueError(
+                        f"coordinate {position} of an element of {self} must be an integer, "
+                        f"got {value!r}"
+                    ) from None
+            raise
+        # _element, inlined: sweeps build elements by the hundred thousand
+        g = object.__new__(GroupElement)
+        state = g.__dict__
+        state["group"] = self
+        state["coords"] = reduced
+        return g
 
     def elements(self) -> Iterator[GroupElement]:
         """All elements in canonical (lexicographic coordinate) order."""
@@ -214,12 +234,12 @@ def _element(group: AbelianGroup, coords: tuple[int, ...]) -> GroupElement:
 
 
 def _require_bound(group: AbelianGroup, g: GroupElement) -> None:
-    if g.group != group:
+    if g.group is not group and g.group != group:
         raise GroupMismatchError(f"element {g!r} is not bound to {group}")
 
 
 def _require_bound_set(group: AbelianGroup, connection_set: ConnectionSet) -> None:
-    if connection_set.group != group:
+    if connection_set.group is not group and connection_set.group != group:
         raise GroupMismatchError(
             f"connection set is bound to {connection_set.group}, not {group}"
         )
@@ -370,6 +390,11 @@ def _scaled(group: AbelianGroup, k: int, coords: np.ndarray) -> np.ndarray:
     )
 
 
+def _picker(ids: list[int]):
+    """The entries of a list at `ids`; two pickers of one length read comparable values."""
+    return operator.itemgetter(*ids) if ids else lambda values: ()
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -474,6 +499,29 @@ class _IndexTables:
     def class_times4(self) -> np.ndarray:
         """Power class of 4g for g in each class."""
         return _frozen(self.class_id[_scaled(self.group, 4, self.coords[:, self.class_reps])])
+
+    @cached_property
+    def condition_pickers(self) -> tuple:
+        """What the four conditions for d >= 2 read of a class mask, for groups with a and b.
+
+        The classes {a} and {b, -b}, then three pickers over a mask's list:
+        the classes of valuation 2 other than {b, -b}, and their images
+        under x4 and under x2.  Each image is a class of the same odd-order
+        cyclic subgroup, so x4 maps them one to one onto the classes of
+        valuation 0 other than the identity's, and x2 onto those of
+        valuation 1 other than {a}.  So C_0 = 4*(C_2 minus {b, -b}) holds iff
+        the first two pickers read the same, and C_1 minus {a} = 2*(C_2 minus
+        {b, -b}) iff the first and the last do.
+        """
+        a, b = self.transfer_classes
+        bucket0, bucket1, bucket2 = self.class_buckets
+        core = [i for i in bucket2 if i != b]
+        fourfold = self.class_times4[core].tolist()
+        twofold = self.class_times2[core].tolist()
+        # the identity's class comes first in class order
+        if sorted(fourfold) != bucket0[1:] or sorted(twofold) != [i for i in bucket1 if i != a]:
+            raise RuntimeError(f"internal error: x2 or x4 is not one to one on {self.group}")
+        return a, b, _picker(core), _picker(fourfold), _picker(twofold)
 
     @cached_property
     def class_sums(self) -> np.ndarray:
@@ -665,8 +713,10 @@ class ConnectionSet:
     input and stripped (a loop at every vertex, which never affects
     transfer).  The mask of the power classes it meets is also kept once
     read, and so is whether the set is power-closed: the spectrum, the walk
-    and the structural conditions all start from them.  So are its
-    character sums, once the FFT has computed them (spectra._character_sums).
+    and the structural conditions all start from them.  So are its exact
+    class spectrum (spectra._class_spectrum) and its character sums, once
+    the FFT has computed them (spectra._character_sums).  Every kept array
+    owns its data.
     """
 
     __slots__ = (
@@ -676,6 +726,7 @@ class ConnectionSet:
         "_elements",
         "_class_mask",
         "_power_closed",
+        "_class_spectrum",
         "_character_sums",
     )
 
@@ -694,15 +745,19 @@ class ConnectionSet:
         return connection_set
 
     @classmethod
-    def _from_class_mask(cls, group: AbelianGroup, mask: np.ndarray) -> ConnectionSet:
+    def _from_class_mask(
+        cls, group: AbelianGroup, mask: np.ndarray, spectrum: np.ndarray | None = None
+    ) -> ConnectionSet:
         """The union of the power classes marked 1 in a 0/1 float64 class mask.
 
         The identity's class must be unmarked.  Power classes are
-        inverse-closed, so nothing is validated, and the set keeps the mask.
+        inverse-closed, so nothing is validated, and the set keeps the mask
+        and, when given, its class spectrum S @ mask.  Both must own their data.
         """
         connection_set = cls.__new__(cls)
         indices = mask[_tables(group).class_id].nonzero()[0]
-        connection_set._store(group, indices, False, _frozen(mask), True)
+        spectrum = None if spectrum is None else _frozen(spectrum)
+        connection_set._store(group, indices, False, _frozen(mask), True, spectrum)
         return connection_set
 
     def _init(self, group, indices, loops_allowed) -> None:
@@ -719,14 +774,19 @@ class ConnectionSet:
             )
         self._store(group, indices, loops_allowed, None, None)
 
-    def _store(self, group, indices, loops_allowed, class_mask, power_closed) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "indices", _frozen(indices))
-        object.__setattr__(self, "loops_allowed", loops_allowed)
-        object.__setattr__(self, "_elements", None)
-        object.__setattr__(self, "_class_mask", class_mask)
-        object.__setattr__(self, "_power_closed", power_closed)
-        object.__setattr__(self, "_character_sums", None)
+    def _store(
+        self, group, indices, loops_allowed, class_mask, power_closed, class_spectrum=None
+    ) -> None:
+        # every slot, in __slots__ order, through the slots' own setters
+        slot = _SLOT_SETTERS
+        slot[0](self, group)
+        slot[1](self, _frozen(indices))
+        slot[2](self, loops_allowed)
+        slot[3](self, None)
+        slot[4](self, class_mask)
+        slot[5](self, power_closed)
+        slot[6](self, class_spectrum)
+        slot[7](self, None)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"ConnectionSet is immutable; cannot set {name!r}")
@@ -778,6 +838,11 @@ class ConnectionSet:
         return f"ConnectionSet({coords}@{self.group})"
 
 
+# The setters of ConnectionSet's slots, bound once: __setattr__ refuses every
+# assignment, and these cost half of object.__setattr__ in the census loop.
+_SLOT_SETTERS = tuple(getattr(ConnectionSet, name).__set__ for name in ConnectionSet.__slots__)
+
+
 @dataclass(frozen=True)
 class Subgroup4m:
     """The subgroup of elements whose order divides 4m, with its relabeling.
@@ -827,10 +892,12 @@ def subgroup_4m(group: AbelianGroup) -> Subgroup4m:
 _FACTOR_RE = re.compile(r"[Zz](\d+)")
 
 
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
 def parse_group(text: str) -> AbelianGroup:
     """Parse a group written as Z<n> factors joined by 'x', e.g. 'Z4xZ3xZ3'.
 
     Case-insensitive and whitespace-tolerant; every factor must be >= 2.
+    Groups are immutable, so one text always gives the same cached group.
     """
     compact = re.sub(r"\s+", "", text)
     if not compact:

@@ -23,6 +23,7 @@ from .groups import (
     ConnectionSet,
     GroupElement,
     _class_mask,
+    _divisor_functions,
     _even_factor_index,
     _require_bound_set,
     _tables,
@@ -30,6 +31,7 @@ from .groups import (
     power_class_indices,
     subgroup_4m,
     sylow2_cyclic,
+    two_part,
 )
 from .spectra import _class_spectrum, integral_spectrum
 from .walk import detect_pst_numeric
@@ -37,8 +39,8 @@ from .walk import detect_pst_numeric
 TRANSFER_TIME = math.pi / 2
 _TIME_LABEL = "pi/2"
 CROSS_VALIDATE_MAX_ORDER = 128
-# Census candidates whose class masks are built in one numpy call.
-_CANDIDATE_BLOCK = 1024
+# Census candidates whose class masks, and then spectra, are built in one numpy call.
+_CANDIDATE_BLOCK = 512
 
 
 class Verdict(str, enum.Enum):
@@ -87,13 +89,33 @@ class PstReport:
         }
 
 
-def _positive(group: AbelianGroup, conditions: dict[str, bool]) -> PstReport:
-    pair = _tables(group).transfer_pair
-    return PstReport(Verdict.PST, pair, _TIME_LABEL, TRANSFER_TIME, conditions, ())
+def _report(verdict, pair, time, time_value, conditions, diagnostics) -> PstReport:
+    """A report from fields already of the right types; skips the frozen dataclass's __init__."""
+    report = object.__new__(PstReport)
+    state = report.__dict__
+    state["verdict"] = verdict
+    state["pair"] = pair
+    state["time"] = time
+    state["time_value"] = time_value
+    state["conditions"] = conditions
+    state["diagnostics"] = diagnostics
+    return report
+
+
+def _positive(tables, conditions: dict[str, bool]) -> PstReport:
+    return _report(Verdict.PST, tables.transfer_pair, _TIME_LABEL, TRANSFER_TIME, conditions, ())
 
 
 def _negative(conditions: dict[str, bool], diagnostics: tuple[str, ...]) -> PstReport:
-    return PstReport(Verdict.NO_PST, None, None, None, conditions, diagnostics)
+    return _report(Verdict.NO_PST, None, None, None, conditions, diagnostics)
+
+
+def _decided(tables, conditions: dict[str, bool]) -> PstReport:
+    """The verdict of a dict of conditions: transfer iff all of them hold."""
+    failed = tuple([f"condition {name} failed" for name, ok in conditions.items() if not ok])
+    if failed:
+        return _negative(conditions, failed)
+    return _positive(tables, conditions)
 
 
 def _valuation_buckets(connection_set: ConnectionSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,20 +164,19 @@ def _class_conditions(tables, mask: np.ndarray) -> dict[str, bool]:
 
     x2 and x4 map a power class onto a power class, so both sides of
     C_0 = 4*(C_2 minus {b, -b}) and C_1 minus {a} = 2*(C_2 minus {b, -b}) are
-    unions of classes, and each holds iff the classes on its two sides agree.
+    unions of classes, and each holds iff every class of C_2 other than
+    {b, -b} is met exactly when its image is (_IndexTables.condition_pickers).
     {a} and {b, -b} are classes of their own.
     """
-    a, b = tables.transfer_classes
-    bucket0, bucket1, bucket2 = tables.class_buckets
-    # k is small: Python sets of class ids beat numpy calls on arrays this short
+    a, b, core, fourfold, twofold = tables.condition_pickers
+    # k is small: Python lists beat numpy calls on arrays this short
     meets = mask.tolist()
-    times2, times4 = tables.class_times2.tolist(), tables.class_times4.tolist()
-    core = [i for i in bucket2 if meets[i] and i != b]
+    met = core(meets)
     return {
         "power_closed": True,
         "exactly_one_of_a_b": meets[a] != meets[b],
-        "c0_equals_4c2": {i for i in bucket0 if meets[i]} == {times4[i] for i in core},
-        "c1_equals_2c2": {i for i in bucket1 if meets[i] and i != a} == {times2[i] for i in core},
+        "c0_equals_4c2": fourfold(meets) == met,
+        "c1_equals_2c2": twofold(meets) == met,
     }
 
 
@@ -174,8 +195,11 @@ def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstR
     """
     _require_bound_set(group, connection_set)
     tables = _tables(group)
+    # the class route first: it is the census's and most sweeps' case
+    if group.d >= 2 and tables.sylow2_cyclic and is_power_closed(connection_set):
+        return _decided(tables, _class_conditions(tables, _class_mask(connection_set)))
     if not tables.sylow2_cyclic:
-        return PstReport(
+        return _report(
             Verdict.OUT_OF_SCOPE,
             None,
             None,
@@ -191,7 +215,7 @@ def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstR
     if group.d == 1:
         involution = tables.transfer_pair[1]
         if connection_set.indices.tolist() == [group.index_of(involution)]:
-            return _positive(group, {"matching_case": True})
+            return _positive(tables, {"matching_case": True})
         return _negative(
             {"matching_case": False},
             (
@@ -199,15 +223,7 @@ def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstR
                 f"C = {{{involution}}} admits transfer",
             ),
         )
-
-    if is_power_closed(connection_set):
-        conditions = _class_conditions(tables, _class_mask(connection_set))
-    else:
-        conditions = _member_conditions(tables, connection_set)
-    if all(conditions.values()):
-        return _positive(group, conditions)
-    failed = tuple(f"condition {name} failed" for name, ok in conditions.items() if not ok)
-    return _negative(conditions, failed)
+    return _decided(tables, _member_conditions(tables, connection_set))
 
 
 def check_4m_conditions(group: AbelianGroup, connection_set: ConnectionSet) -> PstReport:
@@ -234,10 +250,7 @@ def check_4m_conditions(group: AbelianGroup, connection_set: ConnectionSet) -> P
         "c0_equals_c1_star": _same_set(c0, c1_star[c1_star != 0]),
         "c0_equals_c2_star": _same_set(c0, c2_star[c2_star != 0]),
     }
-    if all(conditions.values()):
-        return _positive(group, conditions)
-    failed = tuple(f"condition {name} failed" for name, ok in conditions.items() if not ok)
-    return _negative(conditions, failed)
+    return _decided(tables, conditions)
 
 
 def reduce_to_4m(
@@ -335,6 +348,28 @@ def parity_report(group: AbelianGroup, connection_set: ConnectionSet) -> ParityR
     )
 
 
+def _census_count(group: AbelianGroup) -> int:
+    """How many power-closed connection sets admit transfer: 2^(N(d-1)), or 0 for odd order.
+
+    N is the number of cyclic subgroups of the odd part, read from the
+    factors alone: an element of order m generates a cyclic subgroup with
+    phi(m) generators, and the elements whose order divides e number the
+    product of gcd(e, n_i), so Moebius inversion counts those of order m.
+    The group needs a cyclic Sylow-2-subgroup.
+    """
+    if group.d == 0:
+        return 0
+    odd_exponent = two_part(math.lcm(*group.factors))[1]
+    divisors, mu, phi = (row.tolist() for row in _divisor_functions(odd_exponent))
+    moebius = dict(zip(divisors, mu))
+    dividing = {e: math.prod(math.gcd(e, n) for n in group.factors) for e in divisors}
+    cyclic = sum(
+        sum(moebius[m // e] * dividing[e] for e in divisors if m % e == 0) // totient
+        for m, totient in zip(divisors, phi)
+    )
+    return 1 << (cyclic * (group.d - 1))
+
+
 def enumerate_pst_sets(
     group: AbelianGroup,
     cross_validate: bool | None = None,
@@ -347,7 +382,8 @@ def enumerate_pst_sets(
     CrossValidationError carrying the counterexample.  When cross_validate is
     None it defaults to on for orders up to 128 and off (with a warning)
     above.  Results are ordered by (size, lexicographic class keys).  A group
-    with 2^classes above groups.MAX_ORDER raises CapExceededError.
+    with 2^classes above groups.MAX_ORDER raises CapExceededError.  The count
+    found must be the closed form of _census_count, or RuntimeError is raised.
     """
     if not sylow2_cyclic(group):
         raise ValueError(f"{group} is out of scope: its Sylow-2-subgroup is not cyclic")
@@ -375,9 +411,13 @@ def enumerate_pst_sets(
     for start in range(0, total, _CANDIDATE_BLOCK):
         numbers = np.arange(start, min(start + _CANDIDATE_BLOCK, total))
         masks = (numbers[:, None] << 1 >> np.arange(count) & 1).astype(np.float64)
-        for mask in masks:
-            # a copy: a row of the block would keep the whole block alive in every set found
-            candidate = ConnectionSet._from_class_mask(group, mask.copy())
+        # S @ mask of every candidate, exact: the entries are integers held in float64.
+        # einsum runs numpy's own loop: a BLAS matrix product would touch the BLAS
+        # work buffer, about 0.2 MB more peak RSS
+        block_spectra = np.einsum("ck,dk->cd", masks, tables.class_sums)
+        for mask, spectrum in zip(masks, block_spectra):
+            # copies: a row of a block would keep the whole block alive in every set found
+            candidate = ConnectionSet._from_class_mask(group, mask.copy(), spectrum.copy())
             report = characterize_pst(group, candidate)
             if cross_validate:
                 detection = detect_pst_numeric(group, candidate, TRANSFER_TIME)
@@ -386,6 +426,11 @@ def enumerate_pst_sets(
             if report.verdict is Verdict.PST:
                 chosen = sorted(keys[i] for i in np.flatnonzero(mask))
                 found.append((len(candidate), tuple(chosen), candidate))
+    if len(found) != _census_count(group):
+        raise RuntimeError(
+            f"internal error: the census of {group} found {len(found)} sets, "
+            f"not the {_census_count(group)} of the closed form"
+        )
     # index order is lexicographic coordinate order, so the keys sort as coordinates would
     found.sort(key=lambda item: item[:2])
     return [candidate for _, _, candidate in found]

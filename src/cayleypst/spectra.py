@@ -14,8 +14,9 @@ most MAX_CLASSES power classes take this class-space route.  Every other
 case (a set that is not power-closed, or a group with more classes) takes
 the one FFT kernel: the vector of all character sums is numpy's ifftn over
 `group.factors`, in O(|G| log |G|) time and O(|G|) memory, and its sums are
-rounded to integers; a set keeps its sums, so it pays for one forward
-transform.  The dense character table is a test oracle only.
+rounded to integers.  A set keeps its class spectrum or its sums, so it
+pays for one product or one forward transform.  The dense character table
+is a test oracle only.
 """
 
 from __future__ import annotations
@@ -173,14 +174,20 @@ def _class_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> np.nd
     """Eigenvalue of each dual power class, S @ mask, exact; None off the class-space route.
 
     The route takes a power-closed set on a group of at most MAX_CLASSES
-    power classes.
+    power classes.  The spectrum is computed once and kept on the set; a
+    census candidate arrives with it, from one product over its block.
     """
-    if not is_power_closed(connection_set):
-        return None
-    tables = _tables(group)
-    if len(tables.class_size) > MAX_CLASSES:
-        return None
-    return tables.class_sums @ _class_mask(connection_set)
+    per_class = connection_set._class_spectrum
+    if per_class is None:
+        if not is_power_closed(connection_set):
+            return None
+        tables = _tables(group)
+        if len(tables.class_size) > MAX_CLASSES:
+            return None
+        per_class = tables.class_sums @ _class_mask(connection_set)
+        per_class.setflags(write=False)
+        object.__setattr__(connection_set, "_class_spectrum", per_class)
+    return per_class
 
 
 class Spectrum:

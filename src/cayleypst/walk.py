@@ -10,8 +10,9 @@ power-closed set on a group of at most spectra.MAX_CLASSES power classes it
 is constant on power classes (multiplying by a unit is a graph automorphism
 that fixes the identity), so it is S @ exp(i*t*S @ mask) / |G| with S the
 exact class-sum matrix: one small matvec each way, and no |G| x |G| table.
-The numeric scans read those k class amplitudes and never gather the |G|
-entries.  Every other set takes two FFTs over the factor shape.
+The numeric scans and a single amplitude read those k class amplitudes
+and never gather the |G| entries.  Every other set takes two FFTs over the
+factor shape.
 """
 
 from __future__ import annotations
@@ -42,8 +43,11 @@ from .spectra import (
 from .spectra import character_table  # noqa: F401  (perfbench/tracer.py rebinds walk.character_table)
 
 DENSE_ORDER_CAP = 512
-# An identity row is a unit vector, so at most one entry can reach 1 - _SCAN_TOL.
+# An identity row is a unit vector, so at most one entry can reach 1 - _SCAN_TOL,
+# and such an entry leaves the diagonal a modulus of at most sqrt(2 * _SCAN_TOL):
+# a diagonal entry above _DIAGONAL_BOUND settles the scan with no hit.
 _SCAN_TOL = 1e-9
+_DIAGONAL_BOUND = 1e-4
 
 
 def _difference_index(group: AbelianGroup) -> np.ndarray:
@@ -77,7 +81,12 @@ def _class_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> 
     per_class = _class_spectrum(group, connection_set) if size else None
     if per_class is None:
         return None
-    return _tables(group).class_sums @ np.exp(1j * t * per_class) / group.order
+    phases = 1j * t * per_class
+    np.exp(phases, out=phases)
+    # the arithmetic of S @ exp(i*t*spectrum) / |G|, with fewer temporaries
+    row = _tables(group).class_sums.dot(phases)
+    row /= group.order
+    return row
 
 
 def _element_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> np.ndarray:
@@ -140,11 +149,17 @@ def transition_amplitude(
     """Single amplitude U(t)[source, target] through the character decomposition.
 
     Equals (1/|G|) * sum over characters of exp(i*t*chi(C)) * chi(target - source).
+    On the class-space route it is the amplitude of the power class of
+    target - source.
     """
     _require_bound(group, source)
     _require_bound(group, target)
-    row = _identity_row(group, connection_set, t)
-    return complex(row[group.index_of(target - source)])
+    index = group.index_of(target - source)
+    per_class = _class_row(group, connection_set, t)
+    if per_class is None:
+        return complex(_element_row(group, connection_set, t)[index])
+    # the row is constant on power classes: read the class amplitude, gather no row
+    return complex(per_class[_tables(group).class_id[index]])
 
 
 def transition_matrix(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> TransitionMatrix:
@@ -189,13 +204,16 @@ def detect_pst_numeric(
 
     Translation invariance makes the identity row representative of every
     vertex.  Returns the entry whose modulus reaches 1 - 1e-9, or None; the
-    row is a unit vector, so no two entries can.  On the class-space route
-    the k class amplitudes are scanned instead of the |G| entries: a class
-    of two or more members would carry twice the row's norm, so a hit is a
-    one-member class, and its member and amplitude are the row's.
+    row is a unit vector, so no two entries can, and none can while the
+    diagonal entry is above 1e-4, which is read first.  On the class-space
+    route the k class amplitudes are scanned instead of the |G| entries: a
+    class of two or more members would carry twice the row's norm, so a hit
+    is a one-member class, and its member and amplitude are the row's.
     """
     per_class = _class_row(group, connection_set, t)
     row = _element_row(group, connection_set, t) if per_class is None else per_class
+    if abs(row[0]) > _DIAGONAL_BOUND:
+        return None
     hit = int(np.abs(row[1:]).argmax()) + 1
     if abs(row[hit]) < 1.0 - _SCAN_TOL:
         return None

@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import cayleypst
@@ -27,6 +27,7 @@ from cayleypst import (
     detect_pst_numeric,
     enumerate_pst_sets,
     integral_spectrum,
+    transition_amplitude,
     transition_matrix,
 )
 from cayleypst import groups, is_periodic_numeric, list_power_classes, pst, spectra, walk
@@ -324,3 +325,95 @@ def test_a_set_that_is_not_power_closed_takes_two_transforms(monkeypatch):
     assert transforms == ["forward", "backward"]
     assert str(err.value) == str(fresh.value)
     assert err.value.index == fresh.value.index
+
+
+groups_to_256 = groups_to_512.filter(lambda g: g.order <= 256)
+
+
+@settings(max_examples=40, deadline=None)
+@given(groups_to_256, st.integers(0, 2**32 - 1))
+@example(group("Z4xZ3xZ3"), 0)
+@example(group("Z2xZ2xZ3"), 1)
+def test_a_set_keeps_its_class_spectrum(g, seed):
+    c = random_class_union(g, random.Random(seed))
+    tables = _tables(g)
+    assume(len(tables.class_size) <= MAX_CLASSES)
+    per_class = _class_spectrum(g, c)
+    # computed once, kept, and owning its data
+    assert c._class_spectrum is per_class and _class_spectrum(g, c) is per_class
+    assert per_class.base is None and not per_class.flags.writeable
+    assert np.array_equal(per_class, tables.class_sums @ _class_mask(c))
+    # every character's sum over the set is its dual class's entry
+    dense = character_table(g) @ _indicator(g, c)
+    assert np.abs(dense - per_class[tables.class_id]).max() < 1e-9
+    assert np.array_equal(integral_spectrum(g, c).values, per_class.astype(np.int64)[tables.class_id])
+
+
+def census_candidates(g):
+    """Every candidate of the census, as characterize_pst receives it: spectrum from its block."""
+    seen = []
+    characterize = pst.characterize_pst
+
+    def record(group, connection_set):
+        seen.append(connection_set)
+        return characterize(group, connection_set)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pst, "characterize_pst", record)
+        enumerate_pst_sets(g, cross_validate=False)
+    return seen
+
+
+def same_complex(x, y):
+    return np.complex128(x).tobytes() == np.complex128(y).tobytes()
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(cyclic_sylow2_groups(min_d=0), st.floats(0.1, 50.0), st.integers(0, 2**32 - 1))
+@example(group("Z8xZ3"), 1.0, 0)
+@example(group("Z2xZ9"), 1.0, 0)
+def test_block_spectra_decide_like_spectra_computed_on_demand(g, t_other, seed):
+    tables = _tables(g)
+    assume(len(tables.class_size) <= 10)
+    candidates = census_candidates(g)
+    assert len(candidates) == 2 ** (len(tables.class_size) - 1)
+    rng = random.Random(seed)
+    for c in candidates:
+        # the same members, with nothing kept: its spectrum is computed on demand
+        fresh = ConnectionSet._from_indices(g, c.indices.copy())
+        assert fresh._class_spectrum is None
+        block = c._class_spectrum
+        assert block.base is None and not block.flags.writeable
+        assert block.tobytes() == _class_spectrum(g, fresh).tobytes()
+        assert block.tobytes() == (tables.class_sums @ _class_mask(c)).tobytes()
+        assert np.array_equal(integral_spectrum(g, c).values, integral_spectrum(g, fresh).values)
+        assert character_criterion(g, c) == character_criterion(g, fresh)
+        target = g.element_at(rng.randrange(g.order))
+        for t in (math.pi / 2, t_other):
+            found, expected = detect_pst_numeric(g, c, t), detect_pst_numeric(g, fresh, t)
+            assert (found is None) == (expected is None)
+            if found is not None:
+                assert found.target == expected.target and same_complex(found.phase, expected.phase)
+            assert is_periodic_numeric(g, c, t) == is_periodic_numeric(g, fresh, t)
+            assert same_complex(
+                transition_amplitude(g, c, g.identity, target, t),
+                transition_amplitude(g, fresh, g.identity, target, t),
+            )
+
+
+def test_a_class_route_amplitude_gathers_no_row(monkeypatch):
+    g, rng = group("Z8xZ9"), random.Random(7)
+    sets = [near_transfer_set(g, rng, with_a, not with_a) for with_a in (True, False)]
+    rows = {(id(c), t): _identity_row(g, c, t) for c in sets for t in (math.pi / 2, 2.5)}
+
+    def refuse(*args):
+        raise AssertionError("a |G|-length row was built for one amplitude")
+
+    monkeypatch.setattr(walk, "_element_row", refuse)
+    monkeypatch.setattr(walk, "_identity_row", refuse)
+    source = g.element((3, 4))
+    for c in sets:
+        for t in (math.pi / 2, 2.5):
+            for target in g.elements():
+                amplitude = transition_amplitude(g, c, source, target, t)
+                assert same_complex(amplitude, rows[id(c), t][g.index_of(target - source)])

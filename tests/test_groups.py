@@ -3,6 +3,7 @@
 import copy
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +80,30 @@ def test_element_construction_reduces_and_validates():
     with pytest.raises(ValueError):
         g.element((1, 2))
     assert g.identity.coords == (0, 0, 0)
+
+
+def test_element_reads_each_coordinate_as_an_integer():
+    g = group("Z4xZ3xZ3")
+    # integers of any kind reduce as before, to plain ints
+    for coords in [(5, -1, 3), np.array([5, -1, 3]), (np.int64(5), np.int32(-1), True * 3)]:
+        x = g.element(coords)
+        assert x.coords == (1, 2, 0) and all(type(c) is int for c in x.coords)
+    assert g.element((True, False, 0)).coords == (1, 0, 0)
+    # nothing is truncated: floats, strings and numpy floats are refused, by position
+    for coords, position in [
+        ((1.7, 2, 0), 0),
+        ((1, "3", 0), 1),
+        ((1, 2, np.float64(1.0)), 2),
+        (np.array([1.0, 2.0, 0.0]), 0),
+        ((1, 2, None), 2),
+    ]:
+        message = f"coordinate {position} of an element of Z4xZ3xZ3 must be an integer, got "
+        with pytest.raises(ValueError, match=message):
+            g.element(coords)
+    z4xz3 = group("Z4xZ3")
+    for coords in ([1.7, 2.9], ["3", True]):
+        with pytest.raises(ValueError):
+            z4xz3.element(coords)
 
 
 def test_element_arithmetic():

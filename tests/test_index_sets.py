@@ -244,7 +244,7 @@ def test_sets_from_class_indices_build_no_elements_until_read():
 
 
 CACHED = {
-    groups: ("_tables",),
+    groups: ("_tables", "parse_group"),
 }
 
 
