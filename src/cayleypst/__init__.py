@@ -6,6 +6,8 @@ characters, and cross-checks everything against dense matrix-exponential
 numerics.
 """
 
+import types
+
 from .groups import (
     AbelianGroup,
     CapExceededError,
@@ -68,56 +70,9 @@ from .walk import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroup",
-    "CapExceededError",
-    "CharacterIndex",
-    "ConnectionSet",
-    "CrossValidationError",
-    "GroupElement",
-    "GroupMismatchError",
-    "NonIntegralSpectrumError",
-    "ParityReport",
-    "PstDetection",
-    "PstReport",
-    "Spectrum",
-    "Subgroup4m",
-    "TRANSFER_TIME",
-    "TransitionMatrix",
-    "Verdict",
-    "adjacency_matrix",
-    "all_character_indices",
-    "character_criterion",
-    "character_index",
-    "character_sum",
-    "character_table",
-    "character_value",
-    "characterize_pst",
-    "check_4m_conditions",
-    "delta",
-    "dense_expm",
-    "detect_pst_numeric",
-    "element_order",
-    "enumerate_pst_sets",
-    "integral_spectrum",
-    "is_periodic_numeric",
-    "is_power_closed",
-    "list_power_classes",
-    "odd_eigenvalue_exists",
-    "order_four_pair",
-    "parity_report",
-    "parse_connection_set",
-    "parse_element",
-    "parse_group",
-    "partition_by_two_part",
-    "power_class",
-    "power_class_key",
-    "reduce_to_4m",
-    "scalar_multiple_set",
-    "subgroup_4m",
-    "sylow2_cyclic",
-    "transition_amplitude",
-    "transition_matrix",
-    "two_part",
-    "unique_involution",
-]
+# every name imported above, and no module
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -23,6 +23,8 @@ import numpy as np
 from .groups import (
     AbelianGroup,
     ConnectionSet,
+    _coordinate_rows,
+    _orders,
     _tables,
     check_order,
     parse_connection_set,
@@ -102,24 +104,17 @@ def _load_connection_set(group: AbelianGroup, text: str) -> ConnectionSet:
                 "connection-set file must hold a JSON array of coordinate tuples "
                 '(or an object with a "set" key)'
             )
-        elements = []
-        for entry in payload:
-            coords = entry if isinstance(entry, list) else [entry]
+        rows = [entry if isinstance(entry, list) else [entry] for entry in payload]
+        for entry, coords in zip(payload, rows):
             # bool is an int subclass, and int() would truncate floats silently
             if not all(type(c) is int for c in coords):
                 raise ValueError(f"coordinates must be integers, got {json.dumps(entry)}")
-            elements.append(group.element(coords))
-        return ConnectionSet.from_elements(group, elements)
+        return ConnectionSet.from_coordinates(group, rows)
     return parse_connection_set(group, text)
 
 
-def _coords(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
-    """Coordinates of the elements with these canonical indices, one row each, in the same order."""
-    return np.stack(np.unravel_index(indices, group.factors), axis=-1)
-
-
 def _coords_list(connection_set: ConnectionSet) -> np.ndarray:
-    return _coords(connection_set.group, connection_set.indices)
+    return _coordinate_rows(connection_set.group, connection_set.indices)
 
 
 def _emit(document: dict | Iterable[str], args) -> None:
@@ -224,15 +219,15 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_classes(args) -> int:
     group = _group(args)
-    orders = _tables(group).order
+    orders = _orders(group, _tables(group).class_reps).tolist()
     classes = []
-    for members in power_class_indices(group):
+    for members, order in zip(power_class_indices(group), orders):
         # members are sorted by index, which is lexicographic coordinate order
-        coords = _coords(group, members)
+        coords = _coordinate_rows(group, members)
         classes.append(
             {
                 "key": coords[0].tolist(),
-                "member_order": int(orders[members[0]]),
+                "member_order": order,
                 "size": len(coords),
                 "elements": coords,
             }
@@ -244,10 +239,13 @@ def _cmd_classes(args) -> int:
 
 def _edges(group: AbelianGroup, cset: ConnectionSet) -> np.ndarray:
     """Pairs g < h of canonical vertex indices with h - g in C, one row each, sorted; O(|G| * |C|)."""
-    coords = _tables(group).coords
-    neighbours = np.ravel_multi_index(
-        tuple(row[:, None] + row[cset.indices] for row in coords), group.factors, mode="wrap"
-    )
+    # coordinate i of g + c, for g over the factor shape and c along a last axis
+    members = np.unravel_index(cset.indices, group.factors)
+    sums = [
+        np.arange(n).reshape((1,) * i + (n,) + (1,) * (group.rank - i)) + c
+        for i, (n, c) in enumerate(zip(group.factors, members))
+    ]
+    neighbours = np.ravel_multi_index(sums, group.factors, mode="wrap").reshape(group.order, -1)
     neighbours.sort(axis=1)
     sources, slots = np.nonzero(neighbours > np.arange(group.order)[:, None])
     return np.stack((sources, neighbours[sources, slots]), axis=-1)
@@ -261,7 +259,7 @@ def _cmd_export(args) -> int:
         _emit(format_rows(adjacency, " ".join(["%d"] * group.order) + "\n", ""), args)
         return 0
     # the coordinates of both ends of every edge, shape (edges, 2, rank)
-    ends = _tables(group).coords.T[_edges(group, cset)]
+    ends = _coordinate_rows(group, _edges(group, cset))
     if args.format == "dot":
         label = "(" + ",".join(["%d"] * group.rank) + ")"
         line = f'  "{label}" -- "{label}";'
@@ -289,78 +287,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def group_arg(p):
+    def command(name, handler, summary, reads_set=True):
+        """A subcommand taking -g, and -c when it reads a connection set."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("-g", "--group", required=True, help="group, e.g. Z4xZ3xZ3")
+        if reads_set:
+            p.add_argument(
+                "-c",
+                "--connection-set",
+                required=True,
+                help="set literal like '{(1,0),(3,0)}' or @file.json",
+            )
+        p.set_defaults(handler=handler)
+        return p
 
-    def set_arg(p):
-        p.add_argument(
-            "-c",
-            "--connection-set",
-            required=True,
-            help="set literal like '{(1,0),(3,0)}' or @file.json",
-        )
-
-    def out_arg(p):
-        p.add_argument("--out", help="write output to this path instead of stdout")
-
-    check = sub.add_parser("check", help="decide perfect state transfer")
-    group_arg(check)
-    set_arg(check)
+    check = command("check", _cmd_check, "decide perfect state transfer")
     check.add_argument(
         "--cross-validate",
         action="store_true",
         help="also run the numeric row scan at pi/2 and report agreement",
     )
     check.add_argument(
-        "--fail-on-no-pst",
-        action="store_true",
-        help="exit 1 unless the verdict is PST",
+        "--fail-on-no-pst", action="store_true", help="exit 1 unless the verdict is PST"
     )
-    out_arg(check)
-    check.set_defaults(handler=_cmd_check)
-
-    spectrum = sub.add_parser("spectrum", help="exact integer spectrum via characters")
-    group_arg(spectrum)
-    set_arg(spectrum)
-    out_arg(spectrum)
-    spectrum.set_defaults(handler=_cmd_spectrum)
-
-    walk = sub.add_parser("walk", help="one transition amplitude at a given time")
-    group_arg(walk)
-    set_arg(walk)
+    command("spectrum", _cmd_spectrum, "exact integer spectrum via characters")
+    walk = command("walk", _cmd_walk, "one transition amplitude at a given time")
     walk.add_argument("-t", "--time", required=True, help="walk time: float or pi fraction like pi/2")
     walk.add_argument("--source", default=None, help="source vertex (default: identity)")
     walk.add_argument("--target", required=True, help="target vertex, e.g. (2,0,0)")
-    out_arg(walk)
-    walk.set_defaults(handler=_cmd_walk)
-
-    enum = sub.add_parser("enumerate", help="census of all transfer-positive class unions")
-    group_arg(enum)
+    enum = command(
+        "enumerate", _cmd_enumerate, "census of all transfer-positive class unions", reads_set=False
+    )
     enum.add_argument(
         "--cross-validate",
         action=argparse.BooleanOptionalAction,
         default=None,
         help="check every candidate against the numeric scan (default: on for order <= 128)",
     )
-    out_arg(enum)
-    enum.set_defaults(handler=_cmd_enumerate)
-
-    classes = sub.add_parser("classes", help="list the power classes of a group")
-    group_arg(classes)
-    out_arg(classes)
-    classes.set_defaults(handler=_cmd_classes)
-
-    export = sub.add_parser("export", help="export the Cayley graph")
-    group_arg(export)
-    set_arg(export)
+    command("classes", _cmd_classes, "list the power classes of a group", reads_set=False)
+    export = command("export", _cmd_export, "export the Cayley graph")
     export.add_argument(
         "--format",
         choices=("adjacency", "dot", "json"),
         default="json",
         help="output format (default: json)",
     )
-    out_arg(export)
-    export.set_defaults(handler=_cmd_export)
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write output to this path instead of stdout")
 
     return parser
 

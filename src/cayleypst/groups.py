@@ -9,13 +9,14 @@ Each element also has a canonical index: the mixed-radix number of its
 coordinates, so index order is lexicographic coordinate order.  A
 ConnectionSet is held as the sorted array of its members' indices, and the
 set algebra (validation, power-closure, valuation buckets, scalar
-multiples) runs on numpy index arrays.  Each group has one cached set of
-index tables over all its elements (negation, element order and its
-2-adic valuation, power-class ids, the x2, x4 and odd-part maps), the same
-structure per power class (valuation, and the classes of 2g and 4g), and
-the exact class-sum matrix of its characters over its power classes, each
-built on first use.  They take O(|G|) memory, so index-backed operations
-refuse groups of more than MAX_ORDER elements.
+multiples) runs on numpy index arrays.  Negation, element orders and
+their 2-adic valuations, and the x2, x4 and odd-part maps are computed at
+the indices asked about.  Each group caches one table over all its
+elements, the power-class ids (and the class member lists once read), and
+per power class its valuation, the classes of 2g and 4g and the exact
+class-sum matrix of its characters, each built on first use.  They take
+O(|G|) memory, so index-backed operations refuse groups of more than
+MAX_ORDER elements.
 """
 
 from __future__ import annotations
@@ -383,11 +384,44 @@ def _unit_generators(n: int) -> list[tuple[int, int]]:
     return found
 
 
-def _scaled(group: AbelianGroup, k: int, coords: np.ndarray) -> np.ndarray:
-    """Canonical indices of k*g for the elements whose coordinates are the columns of `coords`."""
-    return np.ravel_multi_index(
-        tuple((k % n) * row for row, n in zip(coords, group.factors)), group.factors, mode="wrap"
-    )
+def _multiples(group: AbelianGroup, k: int, indices: np.ndarray) -> np.ndarray:
+    """Canonical indices of k*g for the elements g with these canonical indices."""
+    factors, places = _tables(group).radix
+    # each factor divides |G|: reduce k so that no product leaves int64
+    return places.ravel() @ (indices // places * (k % group.order) % factors)
+
+
+def _multiple_table(group: AbelianGroup, k: int) -> np.ndarray:
+    """Canonical index of k*g for every element g: an outer sum of one column per factor."""
+    table = None
+    for n in group.factors:
+        column = np.arange(n)
+        column *= k % n
+        column %= n
+        if table is not None:
+            table *= n
+            column = np.add.outer(table, column).ravel()
+        table = column
+    return table
+
+
+def _orders(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
+    """Orders of the elements with these canonical indices: the lcm of their coordinate orders."""
+    factors, places = _tables(group).radix
+    return np.lcm.reduce(factors // np.gcd(factors, indices // places % factors), axis=0)
+
+
+def _valuations(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
+    """2-adic valuations of the orders of the elements with these canonical indices."""
+    orders = _orders(group, indices)
+    return np.log2(orders & -orders).astype(np.intp)
+
+
+def _coordinate_rows(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
+    """Coordinates of the elements with these indices along a new last axis; a view if cyclic."""
+    if group.rank == 1:
+        return indices[..., None]
+    return np.stack(np.unravel_index(indices, group.factors), axis=-1)
 
 
 def _picker(ids: list[int]):
@@ -401,72 +435,54 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 
 class _IndexTables:
-    """Read-only numpy tables over the canonical indices of one group.
+    """Read-only numpy tables of one group, each built on first use.
 
-    Each table is built on first use, so a caller pays only for the ones it
-    reads: validating a connection set needs `neg` alone, and only
-    power-closure and the class listing need the power-class ids.
+    The one per-element table is `class_id`, the power class of every
+    element, and `class_members` lists the classes once something reads
+    them.  Everything else is per power class, or computed at the indices
+    a caller asks about (_multiples, _orders, _valuations).
     """
 
     def __init__(self, group: AbelianGroup) -> None:
         self.group = group
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        """Coordinates of every element, one column per canonical index."""
-        return _frozen(np.indices(self.group.factors).reshape(self.group.rank, self.group.order))
-
-    @cached_property
-    def neg(self) -> np.ndarray:
-        return _frozen(_scaled(self.group, -1, self.coords))
-
-    @cached_property
-    def times2(self) -> np.ndarray:
-        return _frozen(_scaled(self.group, 2, self.coords))
-
-    @cached_property
-    def times4(self) -> np.ndarray:
-        return _frozen(_scaled(self.group, 4, self.coords))
-
-    @cached_property
-    def odd_part(self) -> np.ndarray:
-        """Index of the odd-order component of each element."""
-        return _frozen(_scaled(self.group, _odd_component_multiplier(self.group), self.coords))
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Element orders: the lcm of the coordinate orders."""
-        factors = np.array(self.group.factors)[:, None]
-        return _frozen(np.lcm.reduce(factors // np.gcd(factors, self.coords), axis=0))
-
-    @cached_property
-    def valuation(self) -> np.ndarray:
-        """2-adic valuation of each element's order."""
-        return _frozen(np.log2(self.order & -self.order).astype(np.intp))
-
-    @cached_property
     def class_id(self) -> np.ndarray:
         """Power-class number of each element, in list_power_classes order."""
         # A power class is an orbit under multiplication by the units modulo
         # the exponent (they map onto the units modulo every element order).
-        # Per generating unit, a min-label pass whose step doubles each
-        # round covers every cycle, so each element ends up labelled with
-        # the least index of its class.
-        order = self.group.order
-        label = np.arange(order)
-        for unit, unit_order in _unit_generators(math.lcm(*self.group.factors)):
-            step = _scaled(self.group, unit, self.coords)
-            reach = 1
-            while reach < unit_order:
-                np.minimum(label, label[step], out=label)
-                step = step[step]
-                reach *= 2
-            del step  # one |G| array fewer while the ranks are built
-        # the least member of each class is the one element that labels itself
-        keys = np.flatnonzero(label == np.arange(order))
-        rank = np.empty(order, dtype=np.intp)
-        rank[keys[np.lexsort((keys, self.order[keys]))]] = np.arange(len(keys))
-        return _frozen(rank[label])
+        # Per generating unit u, a min-label pass over the maps by u, u^2,
+        # u^4, ... covers every cycle, so each element ends up labelled with
+        # the least index of its class.  A small group composes each map
+        # from the last, in fewer numpy calls; a big one builds each afresh
+        # and overwrites it with the labels it gathers, two |G| arrays at a time.
+        group = self.group
+        exponent = math.lcm(*group.factors)
+        label = np.arange(group.order)
+        for unit, unit_order in _unit_generators(exponent):
+            rounds = (unit_order - 1).bit_length()
+            if group.order <= 1 << 12:
+                step = _multiple_table(group, unit)
+                for _ in range(rounds):
+                    np.minimum(label, label[step], out=label)
+                    step = step[step]
+                continue
+            for _ in range(rounds):
+                gathered = _multiple_table(group, unit)
+                # take reads each index before it writes that place
+                np.take(label, gathered, out=gathered, mode="clip")
+                np.minimum(label, gathered, out=label)
+                del gathered
+                unit = unit * unit % exponent
+        # the least member of each class is its key, and every label is a key
+        lookup = np.zeros(group.order, dtype=np.intp)
+        lookup[label] = 1
+        keys = np.flatnonzero(lookup)
+        self.class_reps = _frozen(keys[np.lexsort((keys, _orders(group, keys)))])
+        # each key's class number at the key's index, then each label's in place
+        lookup[self.class_reps] = np.arange(len(keys))
+        np.take(lookup, label, out=label, mode="clip")
+        return _frozen(label)
 
     @cached_property
     def class_size(self) -> np.ndarray:
@@ -474,16 +490,14 @@ class _IndexTables:
 
     @cached_property
     def class_reps(self) -> np.ndarray:
-        """The index of one member of each power class; any member represents its class."""
-        reps = np.empty(len(self.class_size), dtype=np.intp)
-        reps[self.class_id] = np.arange(self.group.order)
-        return _frozen(reps)
+        """The least member of each power class; any member represents its class."""
+        self.class_id  # the labelling finds them
+        return self.__dict__["class_reps"]
 
     @cached_property
     def class_valuation(self) -> np.ndarray:
         """2-adic valuation of the element order of each power class."""
-        order = self.order[self.class_reps]
-        return _frozen(np.log2(order & -order).astype(np.intp))
+        return _frozen(_valuations(self.group, self.class_reps))
 
     @cached_property
     def class_buckets(self) -> tuple[list[int], list[int], list[int]]:
@@ -493,12 +507,12 @@ class _IndexTables:
     @cached_property
     def class_times2(self) -> np.ndarray:
         """Power class of 2g for g in each class; x2 maps a power class onto a power class."""
-        return _frozen(self.class_id[_scaled(self.group, 2, self.coords[:, self.class_reps])])
+        return _frozen(self.class_id[_multiples(self.group, 2, self.class_reps)])
 
     @cached_property
     def class_times4(self) -> np.ndarray:
         """Power class of 4g for g in each class."""
-        return _frozen(self.class_id[_scaled(self.group, 4, self.coords[:, self.class_reps])])
+        return _frozen(self.class_id[_multiples(self.group, 4, self.class_reps)])
 
     @cached_property
     def condition_pickers(self) -> tuple:
@@ -535,10 +549,10 @@ class _IndexTables:
         phi(m/gcd(m,s)).  The entries are integers of modulus at most |G|,
         held as float64 so that every product with S is exact.
         """
-        reps = self.class_reps
-        coords, m = self.coords[:, reps], self.order[reps]
+        (factors, places), reps = self.radix, self.class_reps
+        coords, m = reps // places % factors, _orders(self.group, reps)
         # m * r_K is the identity, so each m * r_K,i / n_i is an integer
-        scaled = coords * m // np.array(self.group.factors)[:, None]
+        scaled = coords * m // factors
         s = (coords.T @ scaled) % m
         # m and m/gcd(m, s) divide the exponent: look their functions up among its divisors
         divisors, mu, phi = _divisor_functions(math.lcm(*self.group.factors))
@@ -548,10 +562,18 @@ class _IndexTables:
     @cached_property
     def class_members(self) -> tuple[np.ndarray, ...]:
         """Sorted member indices of each power class, in list_power_classes order."""
-        by_class = _frozen(np.argsort(self.class_id, kind="stable"))
+        # the narrowest type that holds the ids sorts fastest
+        narrow = self.class_id.astype(np.min_scalar_type(len(self.class_size) - 1))
+        by_class = _frozen(np.argsort(narrow, kind="stable"))
         return tuple(np.split(by_class, np.cumsum(self.class_size)[:-1]))
 
     # per-group constants, each O(1)
+
+    @cached_property
+    def radix(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factors and the place value of each in a canonical index, as columns."""
+        factors = np.array(self.group.factors)[:, None]
+        return _frozen(factors), _frozen(self.group.order // np.cumprod(factors, axis=0))
 
     @cached_property
     def sylow2_cyclic(self) -> bool:
@@ -595,7 +617,11 @@ def _sorted_indices(group: AbelianGroup, elements: Iterable[GroupElement]) -> np
         if g.group is not group:
             _require_bound(group, g)
         coords.extend(g.coords)
-    rows = np.array(coords, dtype=np.intp).reshape(-1, group.rank)
+    return _row_indices(group, np.array(coords, dtype=np.intp).reshape(-1, group.rank))
+
+
+def _row_indices(group: AbelianGroup, rows: np.ndarray) -> np.ndarray:
+    """Sorted distinct canonical indices of coordinate rows already reduced modulo the factors."""
     indices = np.ravel_multi_index(tuple(rows.T), group.factors)
     # Python's set and sort beat np.unique on the few dozen members of a typical set
     return np.array(sorted(set(indices.tolist())), dtype=np.intp)
@@ -686,7 +712,7 @@ def partition_by_two_part(connection_set) -> dict[int, frozenset[GroupElement]]:
     group, indices = _index_set(connection_set)
     if group is None:
         return {}
-    valuation = _tables(group).valuation[indices]
+    valuation = _valuations(group, indices)
     return {
         int(k): frozenset(_elements_at(group, indices[valuation == k]))
         for k in np.unique(valuation)
@@ -700,8 +726,7 @@ def scalar_multiple_set(k: int, elements) -> frozenset[GroupElement]:
     group, indices = _index_set(elements)
     if group is None:
         return frozenset()
-    coords = np.array(np.unravel_index(indices, group.factors))
-    return frozenset(_elements_at(group, np.unique(_scaled(group, k, coords))))
+    return frozenset(_elements_at(group, np.unique(_multiples(group, k, indices))))
 
 
 class ConnectionSet:
@@ -766,7 +791,7 @@ class ConnectionSet:
                 "identity may not appear in a connection set; "
                 "use ConnectionSet.from_elements to strip loops"
             )
-        negated = _tables(group).neg[indices]
+        negated = _multiples(group, -1, indices)
         if np.sort(negated).tolist() != indices.tolist():
             first = indices[np.argmin(np.isin(negated, indices))]
             raise ValueError(
@@ -798,7 +823,32 @@ class ConnectionSet:
     @classmethod
     def from_elements(cls, group: AbelianGroup, elements: Iterable[GroupElement]) -> ConnectionSet:
         """Build a connection set, silently stripping the identity if present."""
-        indices = _sorted_indices(group, elements)
+        return cls._stripped(group, _sorted_indices(group, elements))
+
+    @classmethod
+    def from_coordinates(cls, group: AbelianGroup, rows) -> ConnectionSet:
+        """Build a connection set from integer coordinate rows, one per element, like from_elements.
+
+        `rows` is an array, or a list of rows, of one integer per factor.  Each
+        coordinate is reduced modulo its factor, an identity is stripped, and
+        the set must be inverse-closed.  A float, any other non-integer or a
+        row of the wrong length raises ValueError.
+        """
+        check_order(group)
+        try:
+            array = np.asarray(rows) if len(rows) else np.empty((0, group.rank), dtype=np.intp)
+            if array.dtype.kind not in "bi":
+                # integers beyond int64, unsigned ones or no integers: reduce as Python numbers
+                array = np.array(np.mod(np.asarray(rows, dtype=object), group.factors).tolist())
+        except (ValueError, TypeError):
+            array = None
+        if array is None or array.dtype.kind not in "bi" or array.shape[1:] != (group.rank,):
+            raise ValueError(f"expected rows of {group.rank} integer coordinates for {group}")
+        return cls._stripped(group, _row_indices(group, np.mod(array, group.factors)))
+
+    @classmethod
+    def _stripped(cls, group: AbelianGroup, indices: np.ndarray) -> ConnectionSet:
+        """A set from sorted distinct indices, with the identity, if there, taken as a loop."""
         # the identity has index 0
         had_identity = bool(len(indices) and indices[0] == 0)
         return cls._from_indices(group, indices[1:] if had_identity else indices, had_identity)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,8 +25,11 @@ from .groups import (
     _class_mask,
     _divisor_functions,
     _even_factor_index,
+    _multiples,
+    _odd_component_multiplier,
     _require_bound_set,
     _tables,
+    _valuations,
     is_power_closed,
     power_class_indices,
     subgroup_4m,
@@ -121,7 +124,7 @@ def _decided(tables, conditions: dict[str, bool]) -> PstReport:
 def _valuation_buckets(connection_set: ConnectionSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted member indices of C_0, C_1 and C_2 (element order 2**k * odd, k = 0, 1, 2)."""
     indices = connection_set.indices
-    valuation = _tables(connection_set.group).valuation[indices]
+    valuation = _valuations(connection_set.group, indices)
     return indices[valuation == 0], indices[valuation == 1], indices[valuation == 2]
 
 
@@ -154,8 +157,8 @@ def _member_conditions(tables, connection_set: ConnectionSet) -> dict[str, bool]
     return {
         "power_closed": is_power_closed(connection_set),
         "exactly_one_of_a_b": (a in members) != (b in members),
-        "c0_equals_4c2": _same_set(c0, tables.times4[core]),
-        "c1_equals_2c2": _same_set(c1[c1 != a], tables.times2[core]),
+        "c0_equals_4c2": _same_set(c0, _multiples(tables.group, 4, core)),
+        "c1_equals_2c2": _same_set(c1[c1 != a], _multiples(tables.group, 2, core)),
     }
 
 
@@ -241,8 +244,9 @@ def check_4m_conditions(group: AbelianGroup, connection_set: ConnectionSet) -> P
     a, b, _ = tables.transfer_indices
     members = connection_set.indices.tolist()
     c0, c1, c2 = _valuation_buckets(connection_set)
-    c1_star = tables.odd_part[c1]
-    c2_star = tables.odd_part[c2]
+    odd = _odd_component_multiplier(group)
+    c1_star = _multiples(group, odd, c1)
+    c2_star = _multiples(group, odd, c2)
     # the identity has index 0
     conditions = {
         "power_closed": is_power_closed(connection_set),
@@ -317,12 +321,7 @@ class ParityReport:
         return self.c0_even and self.c2_even and self.c1_odd_iff_a and self.c2_div4_iff_no_b
 
     def to_json_dict(self) -> dict:
-        return {
-            "c0_even": self.c0_even,
-            "c2_even": self.c2_even,
-            "c1_odd_iff_a": self.c1_odd_iff_a,
-            "c2_div4_iff_no_b": self.c2_div4_iff_no_b,
-        }
+        return asdict(self)
 
 
 def parity_report(group: AbelianGroup, connection_set: ConnectionSet) -> ParityReport:

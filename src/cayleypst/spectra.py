@@ -34,6 +34,7 @@ from .groups import (
     GroupMismatchError,
     _canonical_elements,
     _class_mask,
+    _frozen,
     _require_bound_set,
     _tables,
     check_square,
@@ -196,8 +197,11 @@ class Spectrum:
     `values` is the read-only int64 array of eigenvalues in canonical
     character order.  `eigenvalues`, the multiset keyed by value in
     descending order, and `by_character`, which maps every character index
-    to its eigenvalue, are derived from it on first read.  The constructor
-    takes the `by_character` mapping, covering every character of one group.
+    to its eigenvalue, are derived on first read.  A spectrum from the
+    class-space route holds only the eigenvalue and the size of each dual
+    power class: it spreads them into `values` when that is read, and
+    `eigenvalues` and `to_json_dict` never do.  The constructor takes the
+    `by_character` mapping, covering every character of one group.
     """
 
     def __init__(self, by_character: dict[CharacterIndex, int]) -> None:
@@ -218,9 +222,15 @@ class Spectrum:
         spectrum._init(group, values)
         return spectrum
 
+    @classmethod
+    def _from_classes(cls, group: AbelianGroup, values: np.ndarray, sizes: np.ndarray) -> Spectrum:
+        """The spectrum whose dual power classes, of these sizes, have these int64 eigenvalues."""
+        spectrum = cls.__new__(cls)
+        spectrum.__dict__.update(group=group, _classes=(_frozen(values), sizes))
+        return spectrum
+
     def _init(self, group: AbelianGroup, values: np.ndarray) -> None:
-        values.setflags(write=False)
-        self.__dict__.update(group=group, values=values)
+        self.__dict__.update(group=group, values=_frozen(values), _classes=None)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"Spectrum is immutable; cannot set {name!r}")
@@ -234,8 +244,19 @@ class Spectrum:
         return f"Spectrum({self.eigenvalues}@{self.group})"
 
     @cached_property
+    def values(self) -> np.ndarray:
+        per_class, _ = self._classes
+        return _frozen(per_class[_tables(self.group).class_id])
+
+    @cached_property
     def eigenvalues(self) -> dict[int, int]:
-        distinct, counts = np.unique(self.values, return_counts=True)
+        if self._classes is None:
+            distinct, counts = np.unique(self.values, return_counts=True)
+        else:
+            per_class, sizes = self._classes
+            distinct, which = np.unique(per_class, return_inverse=True)
+            # the sizes sum to |G|, well inside float64's exact integers
+            counts = np.bincount(which, weights=sizes).astype(np.int64)
         return dict(zip(distinct[::-1].tolist(), counts[::-1].tolist()))
 
     @cached_property
@@ -278,8 +299,7 @@ def integral_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> Spe
         return Spectrum._from_values(group, np.zeros(group.order, dtype=np.int64))
     per_class = _class_spectrum(group, connection_set)
     if per_class is not None:
-        tables = _tables(group)
-        return Spectrum._from_values(group, per_class.astype(np.int64)[tables.class_id])
+        return Spectrum._from_classes(group, per_class.astype(np.int64), _tables(group).class_size)
     sums = _character_sums(connection_set)
     nearest = np.rint(sums.real)
     residual = np.abs(sums - nearest)
@@ -304,8 +324,9 @@ def delta(spectrum: Spectrum) -> int | None:
     Returns None when there is a single distinct eigenvalue (a graph with no
     transfer time; never 0, so pi/delta is always well defined when not None).
     """
-    values = spectrum.values
-    return int(np.gcd.reduce(values.max() - values)) or None
+    # the distinct eigenvalues, in descending order
+    values = np.array(spectrum.distinct)
+    return int(np.gcd.reduce(values[0] - values)) or None
 
 
 def odd_eigenvalue_exists(group: AbelianGroup, connection_set: ConnectionSet) -> bool:

@@ -27,6 +27,7 @@ from .groups import (
     CapExceededError,  # noqa: F401  (re-exported: one class for every size cap)
     ConnectionSet,
     GroupElement,
+    _coordinate_rows,
     _require_bound,
     _require_bound_set,
     _tables,
@@ -53,7 +54,7 @@ _DIAGONAL_BOUND = 1e-4
 def _difference_index(group: AbelianGroup) -> np.ndarray:
     """Index table D[g, h] = canonical index of h - g; groups above 2048 vertices are refused."""
     check_square(group)
-    coords = _tables(group).coords
+    coords = np.unravel_index(np.arange(group.order), group.factors)
     return np.ravel_multi_index(
         tuple(row[None, :] - row[:, None] for row in coords), group.factors, mode="wrap"
     )
@@ -134,7 +135,7 @@ class TransitionMatrix:
     def to_json_dict(self) -> dict:
         return {
             "time": self.time,
-            "vertices": _tables(self.group).coords.T.tolist(),
+            "vertices": _coordinate_rows(self.group, np.arange(self.group.order)).tolist(),
             "entries": [[[z.real, z.imag] for z in row] for row in self.entries],
         }
 

@@ -204,9 +204,11 @@ def test_per_class_tables_hold_for_every_member():
         tables = _tables(g)
         for k, members in enumerate(tables.class_members):
             assert tables.class_id[tables.class_reps[k]] == k
-            assert set(tables.valuation[members].tolist()) == {tables.class_valuation[k]}
-            assert set(tables.class_id[tables.times2[members]].tolist()) == {tables.class_times2[k]}
-            assert set(tables.class_id[tables.times4[members]].tolist()) == {tables.class_times4[k]}
+            elements = [g.element_at(i) for i in members.tolist()]
+            valuations = {two_part(brute_element_order(g, x))[0] for x in elements}
+            assert valuations == {tables.class_valuation[k]}
+            assert {tables.class_id[g.index_of(2 * x)] for x in elements} == {tables.class_times2[k]}
+            assert {tables.class_id[g.index_of(4 * x)] for x in elements} == {tables.class_times4[k]}
         buckets = [np.flatnonzero(tables.class_valuation == v).tolist() for v in range(3)]
         assert list(tables.class_buckets) == buckets
         if groups.sylow2_cyclic(g) and g.d >= 2:

@@ -453,7 +453,7 @@ def test_a_reader_that_stops_early_ends_the_command_quietly(argv):
 
 def test_running_out_of_memory_is_one_line_and_exit_2():
     # the address-space limit is set in the child only; one BLAS thread keeps
-    # numpy's own start-up far below it, so the first |G| tables fail
+    # numpy's own start-up far below it, so the 512 MiB of edge ends fail
     import resource
 
     limit = 256 << 20
@@ -461,6 +461,8 @@ def test_running_out_of_memory_is_one_line_and_exit_2():
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
+    # |G| x |C| neighbour indices: 4194304 x 16 int64
+    sixteen = "{" + ",".join(str(k % 4194304) for j in range(1, 9) for k in (j, -j)) + "}"
     src = os.path.dirname(os.path.dirname(cayleypst.__file__))
     env = {
         **os.environ,
@@ -468,7 +470,7 @@ def test_running_out_of_memory_is_one_line_and_exit_2():
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     }
     proc = subprocess.run(
-        [sys.executable, "-m", "cayleypst.cli", "classes", "-g", "Z4194304"],
+        [sys.executable, "-m", "cayleypst.cli", "export", "-g", "Z4194304", "-c", sixteen],
         capture_output=True,
         env=env,
         preexec_fn=limit_memory,

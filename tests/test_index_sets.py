@@ -1,9 +1,12 @@
 """Index-backed connection sets and per-group index tables against element-wise definitions."""
 
 import copy
+import json
 import math
 import pickle
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -109,6 +112,56 @@ def test_scalar_multiple_set_matches_definition(case, k):
     assert scalar_multiple_set(k, subset) == expected
 
 
+coordinate_values = st.one_of(
+    st.integers(-100, 100),
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(10**20, 10**30).map(lambda v: v * (-1) ** (v % 2)),
+    st.booleans(),
+)
+
+
+@st.composite
+def group_and_rows(draw):
+    """A group and coordinate rows: often inverse-closed, sometimes with the identity or a bad row."""
+    g = draw(factor_lists(64))
+    rows = draw(st.lists(st.lists(coordinate_values, min_size=g.rank, max_size=g.rank), max_size=8))
+    if draw(st.booleans()):
+        rows += [[-c for c in row] for row in rows]
+    if draw(st.booleans()):
+        rows.append([0] * g.rank)
+    if draw(st.integers(0, 9)) == 0:
+        rows.append(draw(st.lists(coordinate_values, max_size=4)))
+    return g, draw(st.permutations(rows))
+
+
+def built_or_refused(build):
+    try:
+        return build()
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_and_rows())
+def test_from_coordinates_matches_from_elements(case):
+    g, rows = case
+    expected = built_or_refused(lambda: ConnectionSet.from_elements(g, [g.element(r) for r in rows]))
+    found = built_or_refused(lambda: ConnectionSet.from_coordinates(g, rows))
+    assert found == expected
+    if found is not ValueError:
+        assert found.loops_allowed == expected.loops_allowed
+        small = [[int(c) % n for c, n in zip(row, g.factors)] for row in rows]
+        assert ConnectionSet.from_coordinates(g, np.array(small, dtype=np.intp).reshape(-1, g.rank)) == found
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1.0], [3]], [["1"], ["3"]], [[None], [3]], [[1, 0], [3]], [1, 3], [[[1]], [[3]]], [[]]]
+)
+def test_from_coordinates_refuses_what_is_not_integer_rows(rows):
+    with pytest.raises(ValueError, match=r"expected rows of 1 integer coordinates for Z4"):
+        ConnectionSet.from_coordinates(group("Z4"), rows)
+
+
 @settings(max_examples=40, deadline=None)
 @given(group_and_subset(max_order=48))
 def test_connection_set_routes_agree_on_inverse_closures(case):
@@ -153,21 +206,31 @@ def test_primitive_root_lifts_when_it_fails_modulo_p_squared():
     assert all(pow(root, phi // q, p * p) != 1 for q in groups._prime_factors(phi))
 
 
-def test_index_tables_match_elementwise_arithmetic():
-    g = group("Z8xZ3xZ5")
-    tables = _tables(g)
-    for x in g.elements():
+@pytest.mark.parametrize("spec", ["Z8xZ3xZ5", "Z2xZ12xZ9", "Z7", "Z16xZ2"])
+def test_index_helpers_match_elementwise_arithmetic(spec):
+    g = group(spec)
+    everything = np.arange(g.order)
+    odd = groups._odd_component_multiplier(g)
+    tables = [
+        groups._coordinate_rows(g, everything).tolist(),
+        *(groups._multiples(g, k, everything).tolist() for k in (-1, 2, 4, odd)),
+        groups._orders(g, everything).tolist(),
+        groups._valuations(g, everything).tolist(),
+    ]
+    for x, coords, neg, times2, times4, odd_part, order, valuation in zip(g.elements(), *tables):
         i = g.index_of(x)
-        assert g.element_at(i) == x
-        assert tables.neg[i] == g.index_of(-x)
-        assert tables.times2[i] == g.index_of(2 * x)
-        assert tables.times4[i] == g.index_of(4 * x)
-        assert tables.order[i] == brute_element_order(g, x)
-        assert tables.valuation[i] == two_part(brute_element_order(g, x))[0]
-        odd = tables.odd_part[i]
-        assert brute_element_order(g, g.element_at(odd)) % 2 == 1
-        assert brute_element_order(g, x - g.element_at(odd)) in (1, 2, 4, 8)
-    assert all(not t.flags.writeable for t in (tables.neg, tables.class_id, tables.coords))
+        assert g.element_at(i) == x and tuple(coords) == x.coords
+        assert (neg, times2, times4) == (g.index_of(-x), g.index_of(2 * x), g.index_of(4 * x))
+        assert order == brute_element_order(g, x)
+        assert valuation == two_part(brute_element_order(g, x))[0]
+        assert brute_element_order(g, g.element_at(odd_part)) % 2 == 1
+        assert two_part(brute_element_order(g, x - g.element_at(odd_part)))[1] == 1
+    for k in (-1, 2, 3, 4, odd, 5 * g.order + 7):
+        # the table of every multiple, built without coordinates, against the helper
+        assert groups._multiple_table(g, k).tolist() == groups._multiples(g, k, everything).tolist()
+    picked = np.array([0, g.order - 1, 1])
+    assert groups._orders(g, picked).tolist() == [tables[5][i] for i in picked]
+    assert not _tables(g).class_id.flags.writeable
 
 
 def test_connection_set_is_read_only_and_hashable():
@@ -225,12 +288,62 @@ def test_index_tables_refuse_groups_above_the_cap():
 def test_tables_are_built_only_when_read():
     _tables.cache_clear()
     g = group("Z2xZ3xZ7xZ5")
-    c = ConnectionSet(g, frozenset())
-    assert "neg" in vars(_tables(g)) and "class_id" not in vars(_tables(g))
-    integral_spectrum(g, c)
+    c = ConnectionSet(g, frozenset({elem(g, 1, 0, 0, 0)}))
+    # validation negates the set's own members and reads no table
+    assert "class_id" not in vars(_tables(g))
+    integral_spectrum(g, ConnectionSet(g, frozenset()))
     assert "class_id" not in vars(_tables(g))
     assert is_power_closed(c)
-    assert "class_id" in vars(_tables(g))
+    assert "class_id" in vars(_tables(g)) and "class_members" not in vars(_tables(g))
+
+
+def element_arrays(tables):
+    """Names of the arrays kept on a group's tables with one entry per element."""
+    return sorted(
+        name
+        for name, value in vars(tables).items()
+        if isinstance(value, np.ndarray) and len(value) >= tables.group.order
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, text, power_closed",
+    [
+        ("Z2xZ3xZ7xZ5", "{(1,0,0,0),(0,1,0,0),(0,2,0,0)}", True),
+        # {1, 6} of Z7 is not a power class, so the set is checked member by member
+        ("Z2xZ3xZ7xZ5", "{(1,0,0,0),(0,0,1,0),(0,0,6,0)}", False),
+        ("Z4xZ3xZ7", "{(2,0,0),(0,1,0),(0,2,0)}", True),
+        ("Z4xZ3xZ7", "{(2,0,0),(0,0,1),(0,0,6)}", False),
+    ],
+)
+def test_a_check_keeps_no_element_table_but_the_class_ids(spec, text, power_closed, capsys):
+    _tables.cache_clear()
+    g = group(spec)
+    assert cli.main(["check", "-g", spec, "-c", text, "--cross-validate"]) == 0
+    assert json.loads(capsys.readouterr().out)["cross_validation"]["agrees"] is True
+    assert is_power_closed(groups.parse_connection_set(g, text)) is power_closed
+    assert element_arrays(_tables(g)) == ["class_id"]
+
+
+# The class-route build's peak, in |G|-length int64 arrays above its start:
+# the labels and one multiplication map in the label pass, then the labels
+# and the class ids.  The bound leaves half an array for temporaries.
+CLASS_BUILD_ARRAYS = 2.5
+
+
+def test_the_class_route_build_peaks_at_two_element_arrays():
+    _tables.cache_clear()
+    g = group("Z65536")
+    c = ConnectionSet.from_coordinates(g, [[16384], [49152]])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert characterize_pst(g, c).verdict.value == "PST"
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= CLASS_BUILD_ARRAYS * 8 * g.order, peak / (8 * g.order)
+    assert element_arrays(_tables(g)) == ["class_id"]
 
 
 def test_sets_from_class_indices_build_no_elements_until_read():

@@ -288,6 +288,21 @@ def test_array_spectrum_matches_the_character_dict(factors, seed):
     assert delta(spectrum) == (math.gcd(*gaps) if gaps else None)
 
 
+@pytest.mark.parametrize("spec, seed", [("Z8xZ9", 1), ("Z4xZ3xZ5", 2), ("Z2xZ2xZ3", 3)])
+def test_a_class_route_spectrum_counts_without_spreading_its_values(spec, seed):
+    g = group(spec)
+    c = random_class_union(g, random.Random(seed))
+    assert len(c)
+    spectrum = integral_spectrum(g, c)
+    document = spectrum.to_json_dict()
+    # the multiset comes from the class eigenvalues and sizes, not from a |G| array
+    assert "values" not in vars(spectrum)
+    sums = np.rint((character_table(g) @ _indicator(g, c)).real).astype(int).tolist()
+    counts = Counter(sums)
+    assert document == {"eigenvalues": [[v, counts[v]] for v in sorted(counts, reverse=True)]}
+    assert spectrum.values.tolist() == sums and not spectrum.values.flags.writeable
+
+
 def test_spectrum_equality_copies_and_bad_mappings():
     z4 = group("Z4")
     s = integral_spectrum(z4, cset(z4, [(1,), (3,)]))
