@@ -45,14 +45,9 @@ from .pst import (
     reduce_to_4m,
 )
 from .spectra import (
-    CharacterIndex,
     NonIntegralSpectrumError,
     Spectrum,
-    all_character_indices,
-    character_index,
-    character_sum,
     character_table,
-    character_value,
     delta,
     integral_spectrum,
     odd_eigenvalue_exists,

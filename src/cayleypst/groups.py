@@ -72,7 +72,11 @@ class AbelianGroup:
     _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        factors = tuple(int(n) for n in self.factors)
+        try:
+            factors = tuple(map(operator.index, self.factors))
+        except TypeError:
+            bad = next(n for n in self.factors if not hasattr(n, "__index__"))
+            raise ValueError(f"a cyclic factor order must be an integer, got {bad!r}") from None
         if not factors:
             raise ValueError("a group needs at least one cyclic factor")
         bad = [n for n in factors if n < 2]
@@ -837,7 +841,7 @@ class ConnectionSet:
         check_order(group)
         try:
             array = np.asarray(rows) if len(rows) else np.empty((0, group.rank), dtype=np.intp)
-            if array.dtype.kind not in "bi":
+            if array.dtype.kind not in "bi" and array.shape[1:] == (group.rank,):
                 # integers beyond int64, unsigned ones or no integers: reduce as Python numbers
                 array = np.array(np.mod(np.asarray(rows, dtype=object), group.factors).tolist())
         except (ValueError, TypeError):
@@ -900,16 +904,20 @@ class Subgroup4m:
     The surviving coordinates of the even factor are divided by 2**(d-2), so
     the induced group replaces that factor 2**d * u by 4u; the other factors
     are untouched.  `to_subgroup` and `from_subgroup` are mutually inverse.
+    `elements`, the members in the parent group, is built on first read.
     """
 
     parent: AbelianGroup
     group: AbelianGroup
-    elements: frozenset[GroupElement]
     even_index: int
     scale: int
 
+    @cached_property
+    def elements(self) -> frozenset[GroupElement]:
+        return frozenset(map(self.from_subgroup, self.group.elements()))
+
     def __contains__(self, g: GroupElement) -> bool:
-        return g in self.elements
+        return g.group == self.parent and not g.coords[self.even_index] % self.scale
 
     def to_subgroup(self, g: GroupElement) -> GroupElement:
         _require_bound(self.parent, g)
@@ -934,9 +942,7 @@ def subgroup_4m(group: AbelianGroup) -> Subgroup4m:
     scale = 1 << (group.d - 2)
     sub_factors = list(group.factors)
     sub_factors[j] //= scale
-    induced = AbelianGroup(tuple(sub_factors))
-    members = frozenset(g for g in _canonical_elements(group) if g.coords[j] % scale == 0)
-    return Subgroup4m(group, induced, members, j, scale)
+    return Subgroup4m(group, AbelianGroup(tuple(sub_factors)), j, scale)
 
 
 _FACTOR_RE = re.compile(r"[Zz](\d+)")

@@ -267,10 +267,13 @@ def reduce_to_4m(
     """
     _require_bound_set(group, connection_set)
     embedding = subgroup_4m(group)
-    kept = frozenset(
-        embedding.to_subgroup(g) for g in connection_set.elements if g in embedding.elements
-    )
-    return embedding.group, ConnectionSet(embedding.group, kept)
+    inner, scale = math.prod(group.factors[embedding.even_index + 1 :]), embedding.scale
+    # an index is low + inner * high with low < inner; high, whose last place is the
+    # even coordinate, is a multiple of scale exactly on a member, and high / scale relabels it
+    high, low = np.divmod(connection_set.indices, inner)
+    member = high % scale == 0
+    kept = high[member] // scale * inner + low[member]
+    return embedding.group, ConnectionSet._from_indices(embedding.group, kept)
 
 
 def character_criterion(group: AbelianGroup, connection_set: ConnectionSet) -> bool:

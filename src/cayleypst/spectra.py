@@ -21,8 +21,6 @@ is a test oracle only.
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,9 +28,6 @@ import numpy as np
 from .groups import (
     AbelianGroup,
     ConnectionSet,
-    GroupElement,
-    GroupMismatchError,
-    _canonical_elements,
     _class_mask,
     _frozen,
     _require_bound_set,
@@ -48,72 +43,15 @@ MAX_CLASSES = 256
 
 
 class NonIntegralSpectrumError(Exception):
-    """The set is not power-closed, so some eigenvalue is not an integer."""
+    """The set is not power-closed, so some eigenvalue is not an integer.
 
-    def __init__(self, index: "CharacterIndex", value: complex):
+    `index` is the coordinate tuple of the character whose sum is `value`.
+    """
+
+    def __init__(self, index: tuple[int, ...], value: complex):
         self.index = index
         self.value = value
-        super().__init__(
-            f"character {index.indices} gives non-integral eigenvalue {value.real:.9g}"
-        )
-
-
-@dataclass(frozen=True)
-class CharacterIndex:
-    """Index tuple (j_1, ..., j_r) selecting one character of the group."""
-
-    group: AbelianGroup
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.group.factors):
-            raise ValueError(
-                f"character index has {len(self.indices)} entries but {self.group} "
-                f"has {len(self.group.factors)} factors"
-            )
-        for j, n in zip(self.indices, self.group.factors):
-            if not 0 <= j < n:
-                raise ValueError(f"character index entry {j} out of range for Z{n}")
-
-    def __repr__(self) -> str:
-        return f"chi{self.indices}@{self.group}"
-
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self.indices)
-
-
-def character_index(group: AbelianGroup, indices) -> CharacterIndex:
-    """Build a character index, reducing entries modulo the factor orders."""
-    raw = tuple(int(j) for j in indices)
-    if len(raw) != len(group.factors):
-        raise ValueError(f"expected {len(group.factors)} index entries for {group}")
-    return CharacterIndex(group, tuple(j % n for j, n in zip(raw, group.factors)))
-
-
-def all_character_indices(group: AbelianGroup) -> list[CharacterIndex]:
-    """All |G| character indices in canonical order; the first is trivial."""
-    return [CharacterIndex(group, g.coords) for g in _canonical_elements(group)]
-
-
-def character_value(index: CharacterIndex, g: GroupElement) -> complex:
-    """Value of the character at one element: a product of roots of unity."""
-    if index.group != g.group:
-        raise GroupMismatchError(f"{index!r} and {g!r} belong to different groups")
-    value = 1.0 + 0.0j
-    for j, c, n in zip(index.indices, g.coords, index.group.factors):
-        value *= cmath.exp(2j * cmath.pi * ((j * c) % n) / n)
-    return value
-
-
-def character_sum(index: CharacterIndex, connection_set: ConnectionSet) -> complex:
-    """Eigenvalue of the Cayley graph for this character's eigenvector.
-
-    Elements are summed in canonical order so results are reproducible.
-    """
-    if index.group != connection_set.group:
-        raise GroupMismatchError(f"{index!r} is not a character of {connection_set.group}")
-    return sum((character_value(index, g) for g in connection_set), 0.0 + 0.0j)
+        super().__init__(f"character {index} gives non-integral eigenvalue {value.real:.9g}")
 
 
 def character_table(group: AbelianGroup) -> np.ndarray:
@@ -195,31 +133,20 @@ class Spectrum:
     """Exact integer eigenvalues of an integral translation graph.
 
     `values` is the read-only int64 array of eigenvalues in canonical
-    character order.  `eigenvalues`, the multiset keyed by value in
-    descending order, and `by_character`, which maps every character index
-    to its eigenvalue, are derived on first read.  A spectrum from the
+    character order; `eigenvalues`, the multiset keyed by value in
+    descending order, is derived on first read.  A spectrum from the
     class-space route holds only the eigenvalue and the size of each dual
     power class: it spreads them into `values` when that is read, and
-    `eigenvalues` and `to_json_dict` never do.  The constructor takes the
-    `by_character` mapping, covering every character of one group.
+    `eigenvalues` and `to_json_dict` never do.
     """
 
-    def __init__(self, by_character: dict[CharacterIndex, int]) -> None:
-        characters = list(by_character)
-        group = characters[0].group if characters else None
-        if group is None or len(characters) != group.order or any(
-            index.group != group for index in characters
-        ):
-            raise ValueError("a spectrum needs one eigenvalue for every character of one group")
-        rows = np.array([index.indices for index in characters], dtype=np.intp)
-        values = np.empty(group.order, dtype=np.int64)
-        values[np.ravel_multi_index(tuple(rows.T), group.factors)] = list(by_character.values())
-        self._init(group, values)
+    def __init__(self) -> None:
+        raise TypeError("a Spectrum comes from integral_spectrum; it has no public constructor")
 
     @classmethod
     def _from_values(cls, group: AbelianGroup, values: np.ndarray) -> Spectrum:
         spectrum = cls.__new__(cls)
-        spectrum._init(group, values)
+        spectrum.__dict__.update(group=group, values=_frozen(values), _classes=None)
         return spectrum
 
     @classmethod
@@ -228,9 +155,6 @@ class Spectrum:
         spectrum = cls.__new__(cls)
         spectrum.__dict__.update(group=group, _classes=(_frozen(values), sizes))
         return spectrum
-
-    def _init(self, group: AbelianGroup, values: np.ndarray) -> None:
-        self.__dict__.update(group=group, values=_frozen(values), _classes=None)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"Spectrum is immutable; cannot set {name!r}")
@@ -258,10 +182,6 @@ class Spectrum:
             # the sizes sum to |G|, well inside float64's exact integers
             counts = np.bincount(which, weights=sizes).astype(np.int64)
         return dict(zip(distinct[::-1].tolist(), counts[::-1].tolist()))
-
-    @cached_property
-    def by_character(self) -> dict[CharacterIndex, int]:
-        return dict(zip(all_character_indices(self.group), self.values.tolist()))
 
     @property
     def distinct(self) -> tuple[int, ...]:
@@ -307,7 +227,7 @@ def integral_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> Spe
         off = residual > INTEGRALITY_TOL
         # some sum is not an integer; should rounding hide all of them, name the farthest
         first = int(np.argmax(off) if off.any() else np.argmax(residual))
-        index = character_index(group, np.unravel_index(first, group.factors))
+        index = tuple(int(c) for c in np.unravel_index(first, group.factors))
         raise NonIntegralSpectrumError(index, complex(sums[first]))
     if residual.max() > INTEGRALITY_TOL:
         worst = int(np.argmax(residual))

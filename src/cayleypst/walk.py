@@ -27,6 +27,7 @@ from .groups import (
     CapExceededError,  # noqa: F401  (re-exported: one class for every size cap)
     ConnectionSet,
     GroupElement,
+    _IndexTables,
     _coordinate_rows,
     _require_bound,
     _require_bound_set,
@@ -66,54 +67,46 @@ def adjacency_matrix(group: AbelianGroup, connection_set: ConnectionSet) -> np.n
     return indicator[_difference_index(group)]
 
 
-def _class_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> np.ndarray | None:
-    """Amplitude of each power class on the identity row; None off the class-space route.
+def _row(
+    group: AbelianGroup, connection_set: ConnectionSet, t: float
+) -> tuple[np.ndarray, _IndexTables | None]:
+    """The identity row, one amplitude per slot, and the tables that index it or None.
 
-    On the class-space route the row is constant on power classes, and the
-    class-sum matrix S maps the class phases to it; the pairing is
-    symmetric, so the same S serves both directions.  The empty set takes
-    the element route, whose row needs no table.  No eigenvalue exceeds |C|
-    in modulus, so a finite t * |C| bounds every phase.
+    On the class-space route a slot is a power class and the power-class
+    tables are returned; otherwise a slot is an element, by the FFT, and
+    the tables are None.  There an inverse-closed set's sums are real, so
+    their round-off imaginary parts stay out of the phases, and a
+    power-closed set takes its exact eigenvalues, since t would scale their
+    round-off.  No eigenvalue exceeds |C| in modulus, so a finite t * |C|
+    bounds every phase.
     """
     _require_bound_set(group, connection_set)
     size = len(connection_set)
     if not math.isfinite(t * size):
         raise ValueError(f"time {t!r} is too large: the phase t * |C| overflows for |C| = {size}")
-    per_class = _class_spectrum(group, connection_set) if size else None
-    if per_class is None:
-        return None
-    phases = 1j * t * per_class
-    np.exp(phases, out=phases)
-    # the arithmetic of S @ exp(i*t*spectrum) / |G|, with fewer temporaries
-    row = _tables(group).class_sums.dot(phases)
-    row /= group.order
-    return row
-
-
-def _element_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> np.ndarray:
-    """The identity row off the class-space route, one entry per element, by the FFT.
-
-    An inverse-closed set has real character sums; keeping their round-off
-    imaginary parts out of the phases keeps the row a unit vector at every
-    t.  A power-closed set takes its exact integer eigenvalues, since t
-    times the FFT's round-off would grow with t.
-    """
-    if not len(connection_set):
+    if not size:
         # the empty graph never moves
-        return np.eye(1, group.order, dtype=np.complex128)[0]
+        return np.eye(1, group.order, dtype=np.complex128)[0], None
+    per_class = _class_spectrum(group, connection_set)
+    if per_class is not None:
+        tables = _tables(group)
+        phases = 1j * t * per_class
+        np.exp(phases, out=phases)
+        # the arithmetic of S @ exp(i*t*spectrum) / |G|, with fewer temporaries
+        row = tables.class_sums.dot(phases)
+        row /= group.order
+        return row, tables
     if is_power_closed(connection_set):
         eigenvalues = integral_spectrum(group, connection_set).values
     else:
         eigenvalues = _character_sums(connection_set).real
-    return _character_transform(group, np.exp(1j * t * eigenvalues), inverse=True)
+    return _character_transform(group, np.exp(1j * t * eigenvalues), inverse=True), None
 
 
 def _identity_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> np.ndarray:
     """Row of the transition matrix at the identity vertex, via characters."""
-    per_class = _class_row(group, connection_set, t)
-    if per_class is None:
-        return _element_row(group, connection_set, t)
-    return per_class[_tables(group).class_id]
+    row, tables = _row(group, connection_set, t)
+    return row if tables is None else row[tables.class_id]
 
 
 @dataclass(frozen=True)
@@ -156,11 +149,9 @@ def transition_amplitude(
     _require_bound(group, source)
     _require_bound(group, target)
     index = group.index_of(target - source)
-    per_class = _class_row(group, connection_set, t)
-    if per_class is None:
-        return complex(_element_row(group, connection_set, t)[index])
-    # the row is constant on power classes: read the class amplitude, gather no row
-    return complex(per_class[_tables(group).class_id[index]])
+    row, tables = _row(group, connection_set, t)
+    # on the class-space route, read the class amplitude and gather no row
+    return complex(row[index if tables is None else tables.class_id[index]])
 
 
 def transition_matrix(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> TransitionMatrix:
@@ -211,14 +202,13 @@ def detect_pst_numeric(
     class of two or more members would carry twice the row's norm, so a hit
     is a one-member class, and its member and amplitude are the row's.
     """
-    per_class = _class_row(group, connection_set, t)
-    row = _element_row(group, connection_set, t) if per_class is None else per_class
+    row, tables = _row(group, connection_set, t)
     if abs(row[0]) > _DIAGONAL_BOUND:
         return None
     hit = int(np.abs(row[1:]).argmax()) + 1
     if abs(row[hit]) < 1.0 - _SCAN_TOL:
         return None
-    target = hit if per_class is None else _tables(group).class_reps[hit]
+    target = hit if tables is None else tables.class_reps[hit]
     return PstDetection(group.identity, group.element_at(target), complex(row[hit]))
 
 
@@ -233,6 +223,5 @@ def is_periodic_numeric(
     identity is a power class of its own, the first, so on the class-space
     route its amplitude is the first class amplitude.
     """
-    per_class = _class_row(group, connection_set, t)
-    row = _element_row(group, connection_set, t) if per_class is None else per_class
+    row, _ = _row(group, connection_set, t)
     return bool(abs(row[0]) >= 1.0 - _SCAN_TOL)

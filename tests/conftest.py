@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cayleypst import (
@@ -197,17 +198,19 @@ def loop_character_criterion(g, c):
     if g.d == 0:
         return False
     involution = unique_involution(g)
-    distinct = sorted(set(spectrum.by_character.values()), reverse=True)
+    values = spectrum.values.tolist()
+    distinct = sorted(set(values), reverse=True)
     if len(distinct) < 2:
         return False
     gap = math.gcd(*(distinct[0] - value for value in distinct[1:]))
-    for index, eigenvalue in spectrum.by_character.items():
+    # the characters' coordinate tuples, in canonical order
+    for indices, eigenvalue in zip(np.ndindex(*g.factors), values):
         difference = len(c) - eigenvalue
         if difference % gap:
             return False
         wanted = -1 if (difference // gap) % 2 else 1
         parity = 0
-        for j, x, n in zip(index.indices, involution.coords, g.factors):
+        for j, x, n in zip(indices, involution.coords, g.factors):
             # involution coordinates are 0 or n/2, so 2*j*x is a multiple of n
             parity += (2 * j * x) // n
         if (-1 if parity % 2 else 1) != wanted:

@@ -30,7 +30,7 @@ from cayleypst import (
     transition_amplitude,
     transition_matrix,
 )
-from cayleypst import groups, is_periodic_numeric, list_power_classes, pst, spectra, walk
+from cayleypst import cli, groups, is_periodic_numeric, list_power_classes, pst, spectra, walk
 from cayleypst.groups import MAX_ORDER, _class_mask, _tables
 from cayleypst.spectra import MAX_CLASSES, _character_transform, _class_spectrum, _indicator
 from cayleypst.walk import _identity_row
@@ -116,15 +116,20 @@ def test_fft_route_row_of_a_power_closed_set_uses_the_exact_spectrum(seed):
         assert np.abs(_identity_row(g, c, t) - exact_row).max() < 1e-12
 
 
-def test_production_never_reads_the_character_table(monkeypatch):
+def test_production_never_reads_the_character_table(monkeypatch, capsys):
     def refuse(group):
         raise AssertionError(f"character table of {group} built outside the tests")
 
-    monkeypatch.setattr(spectra, "character_table", refuse)
-    monkeypatch.setattr(walk, "character_table", refuse)
+    def refuse_elements(group):
+        raise AssertionError(f"an object for every element of {group} built outside the tests")
+
     g = group("Z4xZ3xZ3")
     rng = random.Random(3)
-    for c in [random_class_union(g, rng) for _ in range(4)] + [ConnectionSet(g, frozenset())]:
+    sets = [random_class_union(g, rng) for _ in range(4)] + [ConnectionSet(g, frozenset())]
+    monkeypatch.setattr(spectra, "character_table", refuse)
+    monkeypatch.setattr(walk, "character_table", refuse)
+    monkeypatch.setattr(groups, "_canonical_elements", refuse_elements)
+    for c in sets:
         report = characterize_pst(g, c)
         assert character_criterion(g, c) == (report.verdict is Verdict.PST)
         detection = detect_pst_numeric(g, c, math.pi / 2)
@@ -134,7 +139,7 @@ def test_production_never_reads_the_character_table(monkeypatch):
     z5 = group("Z5")
     with pytest.raises(NonIntegralSpectrumError) as err:
         integral_spectrum(z5, cset(z5, [(1,), (4,)]))
-    assert err.value.index.indices == (1,) and isinstance(err.value.value, complex)
+    assert err.value.index == (1,) and isinstance(err.value.value, complex)
     assert len(enumerate_pst_sets(group("Z8xZ3"), cross_validate=True)) == 16
     cube = group("x".join(["Z2"] * 9))
     c = cset(cube, [tuple(int(i == j) for i in range(9)) for j in range(9)])
@@ -143,6 +148,31 @@ def test_production_never_reads_the_character_table(monkeypatch):
     assert integral_spectrum(cube, c).eigenvalues == {9 - 2 * k: math.comb(9, k) for k in range(10)}
     # the 9-cube has transfer between antipodes at pi/2
     assert detect_pst_numeric(cube, c, math.pi / 2).target.coords == (1,) * 9
+    # a sweep-style decision: the group parsed, the set built from elements
+    h = groups.parse_group("Z8xZ9")
+    c = ConnectionSet.from_elements(h, [h.element(x) for x in [(4, 0), (2, 3), (6, 6), (0, 0)]])
+    report = characterize_pst(h, c)
+    detection = detect_pst_numeric(h, c, pst.TRANSFER_TIME)
+    assert (detection is not None) == (report.verdict is Verdict.PST)
+    with pytest.raises(NonIntegralSpectrumError):
+        character_criterion(h, c)
+    gap = transition_matrix(h, c, 1.0).entries - dense_expm(h, c, 1.0).entries
+    assert np.abs(gap).max() < 1e-9
+    # every command
+    pair = ["-g", "Z8xZ3", "-c", "{(2,0),(6,0)}"]
+    for argv in (
+        ["check", *pair, "--cross-validate"],
+        ["spectrum", *pair],
+        ["walk", *pair, "-t", "pi/2", "--target", "(4,0)"],
+        ["enumerate", "-g", "Z8xZ3", "--cross-validate"],
+        ["classes", "-g", "Z8xZ3"],
+        *(["export", *pair, "--format", form] for form in ("adjacency", "dot", "json")),
+    ):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    big = group("Z4194304")
+    reduced_group, reduced = pst.reduce_to_4m(big, cset(big, [(1 << 20,), (3 << 20,)]))
+    assert reduced_group == group("Z4") and reduced.indices.tolist() == [1, 3]
 
 
 def test_character_table_is_capped_like_every_square_matrix():
@@ -411,7 +441,7 @@ def test_a_class_route_amplitude_gathers_no_row(monkeypatch):
     def refuse(*args):
         raise AssertionError("a |G|-length row was built for one amplitude")
 
-    monkeypatch.setattr(walk, "_element_row", refuse)
+    monkeypatch.setattr(walk, "_character_transform", refuse)
     monkeypatch.setattr(walk, "_identity_row", refuse)
     source = g.element((3, 4))
     for c in sets:

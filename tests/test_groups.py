@@ -59,6 +59,16 @@ def test_parse_group_rejects(bad):
         parse_group(bad)
 
 
+def test_group_reads_each_factor_as_an_integer():
+    # a float or a string is refused, not truncated or parsed
+    for bad in (4.5, "4"):
+        with pytest.raises(ValueError) as err:
+            AbelianGroup((bad, 3))
+        assert str(err.value) == f"a cyclic factor order must be an integer, got {bad!r}"
+    g = AbelianGroup((np.int64(4), 3))
+    assert g == group("Z4xZ3") and all(type(n) is int for n in g.factors)
+
+
 def test_two_part_examples():
     assert two_part(12) == (2, 3)
     assert two_part(1) == (0, 1)
@@ -339,7 +349,7 @@ def test_subgroup_4m_z16():
     assert {x.coords[0] for x in emb.elements} == {0, 4, 8, 12}
 
 
-@pytest.mark.parametrize("spec", ["Z8xZ3", "Z16", "Z32", "Z16xZ3", "Z24"])
+@pytest.mark.parametrize("spec", ["Z8xZ3", "Z16", "Z32", "Z16xZ3", "Z24", "Z3xZ16xZ5"])
 def test_subgroup_4m_structure(spec):
     g = group(spec)
     emb = subgroup_4m(g)
@@ -349,6 +359,7 @@ def test_subgroup_4m_structure(spec):
     # membership rule: order divides 4m
     members = {x for x in g.elements() if (4 * g.m) % element_order(g, x) == 0}
     assert members == set(emb.elements)
+    assert {x for x in g.elements() if x in emb} == members
     # relabeling round-trips and is a homomorphism
     sub_elems = sorted(emb.elements, key=lambda x: x.coords)
     for x in sub_elems[:12]:

@@ -162,6 +162,12 @@ def test_from_coordinates_refuses_what_is_not_integer_rows(rows):
         ConnectionSet.from_coordinates(group("Z4"), rows)
 
 
+def test_from_coordinates_refuses_a_short_row_beyond_int64():
+    # reduced as Python numbers, one coordinate would broadcast across both factors
+    with pytest.raises(ValueError, match=r"expected rows of 2 integer coordinates for Z2xZ2"):
+        ConnectionSet.from_coordinates(group("Z2xZ2"), [[10**20]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(group_and_subset(max_order=48))
 def test_connection_set_routes_agree_on_inverse_closures(case):

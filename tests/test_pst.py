@@ -24,6 +24,7 @@ from cayleypst import (
     list_power_classes,
     parity_report,
     reduce_to_4m,
+    subgroup_4m,
     sylow2_cyclic,
     unique_involution,
 )
@@ -167,6 +168,20 @@ def test_reduce_to_4m_examples():
     reduced_group, reduced_set = reduce_to_4m(z16, mixed)
     assert reduced_group.factors == (4,)
     assert {x.coords[0] for x in reduced_set.elements} == {1, 2, 3}
+
+
+@pytest.mark.parametrize("spec", ["Z3xZ16xZ5", "Z5xZ32", "Z8xZ9"])
+def test_reduce_to_4m_relabels_like_to_subgroup(spec):
+    g = group(spec)
+    embedding = subgroup_4m(g)
+    elements = list(g.elements())
+    rng = random.Random(g.order)
+    for _ in range(10):
+        picked = rng.sample(elements, 12)
+        c = ConnectionSet.from_elements(g, picked + [-x for x in picked])
+        kept = frozenset(embedding.to_subgroup(x) for x in c if x in embedding)
+        assert kept <= {embedding.to_subgroup(x) for x in embedding.elements}
+        assert reduce_to_4m(g, c) == (embedding.group, ConnectionSet(embedding.group, kept))
 
 
 def test_reduce_to_4m_preserves_verdicts():

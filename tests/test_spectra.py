@@ -4,7 +4,6 @@ import copy
 import math
 import pickle
 import random
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -15,15 +14,10 @@ from hypothesis import strategies as st
 from cayleypst import (
     AbelianGroup,
     ConnectionSet,
-    GroupMismatchError,
     NonIntegralSpectrumError,
     Spectrum,
     adjacency_matrix,
-    all_character_indices,
-    character_index,
-    character_sum,
     character_table,
-    character_value,
     delta,
     integral_spectrum,
     is_power_closed,
@@ -31,11 +25,10 @@ from cayleypst import (
     odd_eigenvalue_exists,
 )
 from cayleypst import spectra
-from cayleypst.spectra import _character_transform, _indicator
+from cayleypst.spectra import _character_sums, _character_transform, _indicator
 from conftest import (
     class_unions,
     cset,
-    elem,
     group,
     inverse_closed_subsets,
     random_class_union,
@@ -43,26 +36,20 @@ from conftest import (
 
 
 def test_character_value_examples():
-    z4 = group("Z4")
-    trivial = character_index(z4, (0,))
-    assert character_value(trivial, elem(z4, 3)) == pytest.approx(1)
-    assert character_value(character_index(z4, (1,)), elem(z4, 1)) == pytest.approx(1j)
-    assert character_value(character_index(z4, (2,)), elem(z4, 3)) == pytest.approx(-1)
-
-
-def test_character_value_group_mismatch():
-    with pytest.raises(GroupMismatchError):
-        character_value(character_index(group("Z4"), (1,)), elem(group("Z8"), 1))
+    # rows are characters, columns elements, both in canonical order
+    table = character_table(group("Z4"))
+    assert table[0, 3] == pytest.approx(1)
+    assert table[1, 1] == pytest.approx(1j)
+    assert table[2, 3] == pytest.approx(-1)
 
 
 def test_character_count_and_trivial():
     g = group("Z4xZ3")
-    indices = all_character_indices(g)
-    assert len(indices) == g.order
-    assert len(set(indices)) == g.order
-    assert indices[0].is_trivial
-    for x in g.elements():
-        assert character_value(indices[0], x) == pytest.approx(1)
+    table = character_table(g)
+    assert table.shape == (g.order, g.order)
+    # the rows are orthogonal, so no character repeats
+    assert np.allclose(table @ table.conj().T, g.order * np.eye(g.order))
+    assert np.allclose(table[0], 1)
 
 
 @pytest.mark.parametrize("spec", ["Z12", "Z4xZ3", "Z5", "Z2xZ9"])
@@ -70,22 +57,22 @@ def test_character_unit_modulus_and_multiplicativity(spec):
     g = group(spec)
     rng = random.Random(901)
     elements = list(g.elements())
-    indices = all_character_indices(g)
+    table = character_table(g)
+    assert np.abs(np.abs(table) - 1).max() < 1e-12
     for _ in range(60):
-        j = rng.choice(indices)
+        j = rng.randrange(g.order)
         x = rng.choice(elements)
         y = rng.choice(elements)
-        assert abs(abs(character_value(j, x)) - 1) < 1e-12
-        product = character_value(j, x) * character_value(j, y)
-        assert character_value(j, x + y) == pytest.approx(product, abs=1e-12)
+        product = table[j, g.index_of(x)] * table[j, g.index_of(y)]
+        assert table[j, g.index_of(x + y)] == pytest.approx(product, abs=1e-12)
 
 
 def test_character_sum_examples():
     z4 = group("Z4")
     c = cset(z4, [(1,), (3,)])
-    assert character_sum(character_index(z4, (0,)), c) == pytest.approx(2)
-    assert character_sum(character_index(z4, (1,)), c) == pytest.approx(0, abs=1e-12)
-    assert character_sum(character_index(z4, (2,)), c) == pytest.approx(-2)
+    sums = character_table(z4) @ _indicator(z4, c)
+    assert sums == pytest.approx([2, 0, -2, 0], abs=1e-12)
+    assert _character_sums(c) == pytest.approx(sums, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", ["Z12", "Z4xZ3", "Z2xZ9"])
@@ -93,9 +80,10 @@ def test_character_sums_real_for_inverse_closed(spec):
     g = group(spec)
     rng = random.Random(407)
     sets = list(class_unions(g))
+    table = character_table(g)
     for c in rng.sample(sets, min(12, len(sets))):
-        for j in all_character_indices(g):
-            assert abs(character_sum(j, c).imag) < 1e-9
+        assert np.abs((table @ _indicator(g, c)).imag).max() < 1e-9
+        assert np.abs(_character_sums(c).imag).max() < 1e-9
 
 
 def test_integral_spectrum_examples():
@@ -119,7 +107,7 @@ def test_integral_spectrum_rejects_non_power_closed():
     z5 = group("Z5")
     with pytest.raises(NonIntegralSpectrumError) as err:
         integral_spectrum(z5, cset(z5, [(1,), (4,)]))
-    assert err.value.index.group == z5
+    assert err.value.index == (1,)
     z12 = group("Z12")
     with pytest.raises(NonIntegralSpectrumError):
         integral_spectrum(z12, cset(z12, [(1,), (11,)]))
@@ -130,8 +118,8 @@ def test_degree_is_trivial_eigenvalue_and_maximum():
         g = group(spec)
         for c in class_unions(g):
             s = integral_spectrum(g, c)
-            trivial = all_character_indices(g)[0]
-            assert s.by_character[trivial] == len(c)
+            # the trivial character comes first
+            assert s.values[0] == len(c)
             assert s.max_eigenvalue == len(c)
 
 
@@ -169,7 +157,7 @@ def test_delta_examples():
     assert delta(integral_spectrum(z2, cset(z2, [(1,)]))) == 2
     # a single distinct eigenvalue has no defined gap
     assert delta(integral_spectrum(z4, cset(z4, []))) is None
-    constant = Spectrum({j: 3 for j in all_character_indices(group("Z3"))})
+    constant = Spectrum._from_values(group("Z3"), np.full(3, 3))
     assert delta(constant) is None
 
 
@@ -232,7 +220,7 @@ def test_fft_integral_spectrum_matches_table_route(spec, monkeypatch):
     assert class_route.values.tolist() == fft_route.values.tolist() == expected
     with pytest.raises(NonIntegralSpectrumError) as fft_err:
         integral_spectrum(g, split)
-    assert fft_err.value.index.indices == np.unravel_index(witness, g.factors)
+    assert fft_err.value.index == np.unravel_index(witness, g.factors)
 
 
 @st.composite
@@ -251,16 +239,7 @@ def test_fft_route_matches_table_property(g, seed):
     assert_transform_matches_table(g, table, np.random.default_rng(seed))
     c = random_class_union(g, random.Random(seed))
     expected = np.rint((table @ _indicator(g, c)).real).astype(int).tolist()
-    assert list(integral_spectrum(g, c).by_character.values()) == expected
-
-
-def test_character_indices_die_with_their_spectrum():
-    # by_character is cached on the spectrum only, so no per-vertex object outlives it
-    g = group("Z4xZ3")
-    spectrum = integral_spectrum(g, cset(g, [(1, 0), (3, 0)]))
-    index = weakref.ref(next(iter(spectrum.by_character)))
-    del spectrum
-    assert index() is None
+    assert integral_spectrum(g, c).values.tolist() == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -268,22 +247,18 @@ def test_character_indices_die_with_their_spectrum():
     st.lists(st.integers(2, 12), min_size=1, max_size=3).filter(lambda fs: math.prod(fs) <= 96),
     st.integers(0, 2**32 - 1),
 )
-def test_array_spectrum_matches_the_character_dict(factors, seed):
+def test_array_spectrum_matches_the_table(factors, seed):
     g = AbelianGroup(tuple(factors))
     c = random_class_union(g, random.Random(seed))
     spectrum = integral_spectrum(g, c)
     table = character_table(g)
     sums = np.rint((table @ _indicator(g, c)).real).astype(int).tolist()
-    expected = dict(zip(all_character_indices(g), sums))
-    assert spectrum.by_character == expected
-    assert list(spectrum.by_character) == all_character_indices(g)
     assert spectrum.values.tolist() == sums and not spectrum.values.flags.writeable
     counts = Counter(sums)
     assert list(spectrum.eigenvalues.items()) == [(v, counts[v]) for v in sorted(counts, reverse=True)]
     assert all(type(v) is int for pair in spectrum.eigenvalues.items() for v in pair)
-    from_dict = Spectrum(dict(reversed(expected.items())))
-    assert from_dict == spectrum and from_dict.eigenvalues == spectrum.eigenvalues
-    assert from_dict.by_character == expected
+    from_values = Spectrum._from_values(g, np.array(sums))
+    assert from_values == spectrum and from_values.eigenvalues == spectrum.eigenvalues
     gaps = [max(sums) - v for v in counts if v != max(sums)]
     assert delta(spectrum) == (math.gcd(*gaps) if gaps else None)
 
@@ -313,11 +288,10 @@ def test_spectrum_equality_copies_and_bad_mappings():
         s.values = None
     with pytest.raises(ValueError):
         s.values[0] = 7
-    partial = dict(list(s.by_character.items())[:3])
-    with pytest.raises(ValueError, match="every character"):
-        Spectrum(partial)
-    with pytest.raises(ValueError, match="every character"):
-        Spectrum({})
+    # a spectrum comes from integral_spectrum: no constructor takes a mapping, or nothing
+    for args in [({0: 2, 1: 0},), ({},), ()]:
+        with pytest.raises(TypeError):
+            Spectrum(*args)
 
 
 def test_integrality_is_decided_by_power_closure(monkeypatch):
