@@ -42,12 +42,8 @@ from .pst import (
     enumerate_pst_sets,
     scan_agrees,
 )
-from .spectra import NonIntegralSpectrumError, integral_spectrum
-from .walk import (
-    adjacency_matrix,
-    detect_pst_numeric,
-    transition_amplitude,
-)
+from .spectra import NonIntegralSpectrumError, _indicator, integral_spectrum
+from .walk import _difference_index, detect_pst_numeric, transition_amplitude
 
 _PI_LITERAL = re.compile(r"(-)?\s*(\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+))?", re.IGNORECASE)
 
@@ -255,7 +251,8 @@ def _cmd_export(args) -> int:
     group = _group(args)
     cset = _load_connection_set(group, args.connection_set)
     if args.format == "adjacency":
-        adjacency = adjacency_matrix(group, cset).astype(np.int8)
+        # an int8 indicator gathered through the index table: no float |G| x |G| matrix
+        adjacency = _indicator(group, cset).astype(np.int8)[_difference_index(group)]
         _emit(format_rows(adjacency, " ".join(["%d"] * group.order) + "\n", ""), args)
         return 0
     # the coordinates of both ends of every edge, shape (edges, 2, rank)

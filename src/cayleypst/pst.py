@@ -69,6 +69,9 @@ class CrossValidationError(Exception):
             f"for {connection_set!r}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.connection_set, self.report, self.detection)
+
 
 @dataclass(frozen=True)
 class PstReport:

@@ -53,6 +53,9 @@ class NonIntegralSpectrumError(Exception):
         self.value = value
         super().__init__(f"character {index} gives non-integral eigenvalue {value.real:.9g}")
 
+    def __reduce__(self):
+        return type(self), (self.index, self.value)
+
 
 def character_table(group: AbelianGroup) -> np.ndarray:
     """Full |G| x |G| character table; rows are characters, columns elements.

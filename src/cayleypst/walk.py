@@ -53,12 +53,27 @@ _DIAGONAL_BOUND = 1e-4
 
 
 def _difference_index(group: AbelianGroup) -> np.ndarray:
-    """Index table D[g, h] = canonical index of h - g; groups above 2048 vertices are refused."""
+    """Index table D[g, h] = canonical index of h - g; groups above 2048 vertices are refused.
+
+    The one |G| x |G| array is of the narrowest signed type that holds +-|G|
+    (int16 under the cap), so it holds every difference and modulus below.
+    Kronecker steps block * size + table build it from the last factor to
+    the first, each over the last in the same memory.
+    """
     check_square(group)
-    coords = np.unravel_index(np.arange(group.order), group.factors)
-    return np.ravel_multi_index(
-        tuple(row[None, :] - row[:, None] for row in coords), group.factors, mode="wrap"
-    )
+    index = np.zeros(group.order**2, dtype=np.min_scalar_type(-group.order - 1))
+    size = 1
+    for n in reversed(group.factors):
+        # the table of the later factors, copied before its memory is overwritten
+        table = index[: size * size].reshape(1, size, 1, size).copy()
+        # coordinates scaled by size, so mod n * size leaves ((h - g) mod n) * size
+        step = np.arange(0, n * size, size, dtype=index.dtype)
+        block = index[: (n * size) ** 2].reshape(n, size, n, size)
+        np.subtract(step[:, None], step[:, None, None, None], out=block)
+        block %= n * size
+        block += table
+        size *= n
+    return index.reshape(group.order, group.order)
 
 
 def adjacency_matrix(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray:
@@ -175,7 +190,11 @@ def dense_expm(
     if group.order > DENSE_ORDER_CAP:
         raise CapExceededError(f"|{group}| = {group.order} exceeds the dense cap {DENSE_ORDER_CAP}")
     values, vectors = np.linalg.eigh(adjacency_matrix(group, connection_set))
-    return TransitionMatrix(group, float(t), (vectors * np.exp(1j * t * values)) @ vectors.T)
+    # the real and imaginary parts, V diag(cos tw) V^T and V diag(sin tw) V^T, as real products
+    entries = np.empty((group.order, group.order), dtype=np.complex128)
+    entries.real = (vectors * np.cos(t * values)) @ vectors.T
+    entries.imag = (vectors * np.sin(t * values)) @ vectors.T
+    return TransitionMatrix(group, float(t), entries)
 
 
 @dataclass(frozen=True)

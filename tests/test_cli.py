@@ -167,7 +167,12 @@ def test_export_adjacency(capsys):
 
 @pytest.mark.parametrize(
     "spec, literal",
-    [("Z4", "{1,3}"), ("Z12", "{}"), ("Z30xZ4", "{(1,0),(29,0),(0,2),(5,1),(25,3)}")],
+    [
+        ("Z4", "{1,3}"),
+        ("Z12", "{}"),
+        ("Z30xZ4", "{(1,0),(29,0),(0,2),(5,1),(25,3)}"),
+        ("Z2xZ2xZ2xZ3", "{(1,0,0,0),(0,1,1,1),(0,1,1,2),(1,1,1,0)}"),
+    ],
 )
 def test_export_adjacency_matches_per_entry_formatting(capsys, spec, literal):
     g = group(spec)

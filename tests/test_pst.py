@@ -1,6 +1,7 @@
 """The characterization engine: verdicts, reductions, criteria, enumeration."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -268,6 +269,29 @@ def test_enumerate_cross_validation_mismatch_aborts(monkeypatch):
     with pytest.raises(CrossValidationError) as err:
         enumerate_pst_sets(group("Z4"), True)
     assert err.value.connection_set is not None
+
+
+def test_errors_survive_pickling():
+    z5 = group("Z5")
+    with pytest.raises(NonIntegralSpectrumError) as spectral:
+        integral_spectrum(z5, cset(z5, [(1,), (4,)]))
+    copy = pickle.loads(pickle.dumps(spectral.value))
+    assert (copy.index, copy.value, str(copy)) == (
+        spectral.value.index,
+        spectral.value.value,
+        str(spectral.value),
+    )
+    z8 = group("Z8")
+    c = cset(z8, [(2,), (6,)])
+    for detection in (None, detect_pst_numeric(z8, c, math.pi / 2)):
+        err = CrossValidationError(c, characterize_pst(z8, c), detection)
+        copy = pickle.loads(pickle.dumps(err))
+        assert (copy.connection_set, copy.report, copy.detection, str(copy)) == (
+            err.connection_set,
+            err.report,
+            err.detection,
+            str(err),
+        )
 
 
 def test_enumerate_warns_when_auto_disabling(monkeypatch):

@@ -5,8 +5,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleypst import (
+    AbelianGroup,
     CapExceededError,
     ConnectionSet,
     adjacency_matrix,
@@ -20,7 +23,7 @@ from cayleypst import (
 )
 from cayleypst import spectra
 from cayleypst.spectra import _indicator
-from cayleypst.walk import DENSE_ORDER_CAP, _identity_row
+from cayleypst.walk import DENSE_ORDER_CAP, _difference_index, _identity_row
 from conftest import class_unions, cset, elem, group, random_class_union
 
 
@@ -216,6 +219,44 @@ def test_square_matrices_are_capped_at_max_order_entries():
     u = transition_matrix(z2048, cset(z2048, [(512,), (1536,)]), math.pi / 2).entries
     assert u.shape == (2048, 2048)
     assert abs(abs(u[5, 1029]) - 1) < 1e-9
+
+
+def wrapped_difference_index(g):
+    """Test-only oracle: D[g, h] = index of h - g from the coordinate differences, wrapped."""
+    coords = np.unravel_index(np.arange(g.order), g.factors)
+    return np.ravel_multi_index(
+        tuple(row[None, :] - row[:, None] for row in coords), g.factors, mode="wrap"
+    )
+
+
+def assert_difference_index(g):
+    index = _difference_index(g)
+    assert index.dtype.kind == "i" and index.dtype.itemsize <= 2
+    assert np.array_equal(index, wrapped_difference_index(g))
+
+
+@st.composite
+def groups_up_to_256(draw):
+    """Groups of order at most 256 and rank at most 8."""
+    factors, order = [], 1
+    for _ in range(draw(st.integers(1, 8))):
+        if 2 * order > 256:
+            break
+        factors.append(draw(st.integers(2, 256 // order)))
+        order *= factors[-1]
+    return AbelianGroup(tuple(factors))
+
+
+@settings(max_examples=100, deadline=None)
+@given(groups_up_to_256())
+def test_difference_index_matches_wrapped_coordinates(g):
+    assert_difference_index(g)
+
+
+@pytest.mark.parametrize("spec", ["Z127", "Z128", "Z2048", "x".join(["Z2"] * 11), "Z8xZ16xZ16"])
+def test_difference_index_at_type_edges_and_the_cap(spec):
+    # 128 is the first order whose modulus int8 cannot hold; the others are at the cap
+    assert_difference_index(group(spec))
 
 
 def test_transition_matrix_json_shape():
