@@ -92,7 +92,10 @@ def _group(args) -> AbelianGroup:
 def _load_connection_set(group: AbelianGroup, text: str) -> ConnectionSet:
     """Inline set literal, or @file pointing at a JSON array of coordinate tuples."""
     if text.startswith("@"):
-        payload = json.loads(Path(text[1:]).read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(Path(text[1:]).read_text(encoding="utf-8"))
+        except RecursionError:
+            raise ValueError(f"connection-set file {text[1:]} nests too deeply") from None
         if isinstance(payload, dict):
             payload = payload.get("set", payload.get("elements"))
         if not isinstance(payload, list):

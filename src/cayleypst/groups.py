@@ -725,6 +725,10 @@ def partition_by_two_part(connection_set) -> dict[int, frozenset[GroupElement]]:
 
 def scalar_multiple_set(k: int, elements) -> frozenset[GroupElement]:
     """Elementwise scalar multiple {k*g}; collisions merge."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"scalar k must be an integer, got {k!r}") from None
     if k < 1:
         raise ValueError(f"scalar must be a positive integer, got {k}")
     group, indices = _index_set(elements)

@@ -287,17 +287,14 @@ def character_criterion(group: AbelianGroup, connection_set: ConnectionSet) -> b
     this holds exactly when transfer from the identity to a occurs at time
     pi/delta.  Returns False when no involution exists (odd order) or when
     delta is undefined (a single eigenvalue); propagates
-    NonIntegralSpectrumError for non-power-closed sets.  On the class-space
-    route it reads the k class eigenvalues, not the |G|-length spectrum.
+    NonIntegralSpectrumError for non-power-closed sets.  It reads the k class
+    eigenvalues, one character of each dual power class, not all |G|.
     """
     _require_bound_set(group, connection_set)
-    per_class = _class_spectrum(group, connection_set) if len(connection_set) else None
+    per_class = _class_spectrum(group, connection_set)
     if per_class is None:
-        # every character; NonIntegralSpectrumError unless the set is power-closed
-        values, characters = integral_spectrum(group, connection_set).values, np.arange(group.order)
-    else:
-        # one character of each dual power class
-        values, characters = per_class.astype(np.int64), _tables(group).class_reps
+        integral_spectrum(group, connection_set)  # not power-closed: NonIntegralSpectrumError
+    values, characters = per_class.astype(np.int64), _tables(group).class_reps
     if group.d == 0:
         return False
     even = _even_factor_index(group)  # ValueError unless the Sylow-2-subgroup is cyclic

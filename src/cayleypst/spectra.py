@@ -7,16 +7,15 @@ decides integrality.
 
 A power-closed set is a union of power classes, and the sum of a character
 over one power class is a Ramanujan sum that depends only on the character's
-dual power class.  So its whole spectrum is the exact integer class-sum
-matrix S of the group (k x k for k power classes) times the set's class
-mask: no float is rounded and no |G| x |G| table is built.  Groups of at
-most MAX_CLASSES power classes take this class-space route.  Every other
-case (a set that is not power-closed, or a group with more classes) takes
-the one FFT kernel: the vector of all character sums is numpy's ifftn over
-`group.factors`, in O(|G| log |G|) time and O(|G|) memory, and its sums are
-rounded to integers.  A set keeps its class spectrum or its sums, so it
-pays for one product or one forward transform.  The dense character table
-is a test oracle only.
+dual power class.  So the spectrum of a power-closed set is a vector over
+the power classes: the integer class-sum matrix S of the group (k x k for k
+power classes) times the set's class mask, by one class transform, rounded.
+That is the exact product on at most MAX_CLASSES classes, and above that the
+one FFT kernel, numpy's ifftn over `group.factors` in O(|G| log |G|) time and
+O(|G|) memory.  Only a set that is not power-closed takes the FFT of its own
+indicator, which names a sum that is not an integer.  A set keeps its class
+spectrum or its sums, so it pays for one transform.  The dense character
+table is a test oracle only.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ from .groups import (
 )
 
 INTEGRALITY_TOL = 1e-7
-# Most power classes for the class-space route, which keeps its class-sum
-# matrix no larger than 256 x 256; groups with more classes use the FFT.
+# Most power classes for the exact class-sum product, which keeps its matrix
+# no larger than 256 x 256; groups with more classes use the FFT.
 MAX_CLASSES = 256
 
 
@@ -62,8 +61,8 @@ def character_table(group: AbelianGroup) -> np.ndarray:
 
     Both axes follow the canonical element order, so table[j] @ indicator(C)
     is the eigenvalue vector of X(G, C).  The table is symmetric.  No
-    production path reads it: it is the oracle that the class-space and FFT
-    routes are tested against.  Groups whose |G|^2 is above groups.MAX_ORDER
+    production path reads it: it is the oracle that the class transform and
+    the FFT are tested against.  Groups whose |G|^2 is above groups.MAX_ORDER
     raise CapExceededError.
     """
     check_square(group)
@@ -112,21 +111,38 @@ def _character_sums(connection_set: ConnectionSet) -> np.ndarray:
     return sums
 
 
-def _class_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray | None:
-    """Eigenvalue of each dual power class, S @ mask, exact; None off the class-space route.
+def _class_transform(group: AbelianGroup, values: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """S @ values for a vector over the power classes, divided by |G| when inverse.
 
-    The route takes a power-closed set on a group of at most MAX_CLASSES
-    power classes.  The spectrum is computed once and kept on the set; a
-    census candidate arrives with it, from one product over its block.
+    Above MAX_CLASSES classes it is the FFT of the vector spread over the
+    elements, read at one member of each class.
+    """
+    tables = _tables(group)
+    if len(tables.class_size) > MAX_CLASSES:
+        return _character_transform(group, values[tables.class_id], inverse)[tables.class_reps]
+    return tables.class_sums.dot(values) / (group.order if inverse else 1)
+
+
+def _class_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray | None:
+    """Eigenvalue of each dual power class, S @ mask rounded; None unless the set is power-closed.
+
+    The spectrum is computed once and kept on the set; a census candidate
+    arrives with it, from one product over its block.  A sum that rounding
+    moves by more than INTEGRALITY_TOL is a numeric fault: RuntimeError.
     """
     per_class = connection_set._class_spectrum
     if per_class is None:
         if not is_power_closed(connection_set):
             return None
-        tables = _tables(group)
-        if len(tables.class_size) > MAX_CLASSES:
-            return None
-        per_class = tables.class_sums @ _class_mask(connection_set)
+        sums = _class_transform(group, _class_mask(connection_set))
+        per_class = np.rint(sums.real)
+        residual = np.abs(sums - per_class)
+        if residual.max() > INTEGRALITY_TOL:
+            worst = int(np.argmax(residual))
+            raise RuntimeError(
+                f"internal error: character sum {complex(sums[worst])} of a power-closed set "
+                f"is {residual[worst]:.3g} off an integer"
+            )
         per_class.setflags(write=False)
         object.__setattr__(connection_set, "_class_spectrum", per_class)
     return per_class
@@ -137,10 +153,10 @@ class Spectrum:
 
     `values` is the read-only int64 array of eigenvalues in canonical
     character order; `eigenvalues`, the multiset keyed by value in
-    descending order, is derived on first read.  A spectrum from the
-    class-space route holds only the eigenvalue and the size of each dual
-    power class: it spreads them into `values` when that is read, and
-    `eigenvalues` and `to_json_dict` never do.
+    descending order, is derived on first read.  A non-empty set's spectrum
+    holds only the eigenvalue and the size of each dual power class: it
+    spreads them into `values` when that is read, and `eigenvalues` and
+    `to_json_dict` never do.
     """
 
     def __init__(self) -> None:
@@ -209,12 +225,11 @@ def integral_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> Spe
     """Evaluate every character sum as an exact integer.
 
     The spectrum is integral exactly when the set is power-closed, and
-    is_power_closed decides it.  On the class-space route the sums are exact
-    integers and nothing is rounded.  On the FFT route, a set that is not
+    is_power_closed decides it.  A power-closed set's spectrum holds one
+    eigenvalue per dual power class (_class_spectrum).  A set that is not
     power-closed raises NonIntegralSpectrumError naming the first character
-    in canonical order whose sum is off an integer by more than
-    INTEGRALITY_TOL; a power-closed set whose sums are that far off is a
-    numeric fault: RuntimeError.
+    in canonical order whose sum, by the FFT, is off an integer by more than
+    INTEGRALITY_TOL.
     """
     _require_bound_set(group, connection_set)
     if not len(connection_set):
@@ -224,21 +239,12 @@ def integral_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> Spe
     if per_class is not None:
         return Spectrum._from_classes(group, per_class.astype(np.int64), _tables(group).class_size)
     sums = _character_sums(connection_set)
-    nearest = np.rint(sums.real)
-    residual = np.abs(sums - nearest)
-    if not is_power_closed(connection_set):
-        off = residual > INTEGRALITY_TOL
-        # some sum is not an integer; should rounding hide all of them, name the farthest
-        first = int(np.argmax(off) if off.any() else np.argmax(residual))
-        index = tuple(int(c) for c in np.unravel_index(first, group.factors))
-        raise NonIntegralSpectrumError(index, complex(sums[first]))
-    if residual.max() > INTEGRALITY_TOL:
-        worst = int(np.argmax(residual))
-        raise RuntimeError(
-            f"internal error: character sum {complex(sums[worst])} of a power-closed set "
-            f"is {residual[worst]:.3g} off an integer"
-        )
-    return Spectrum._from_values(group, nearest.astype(np.int64))
+    residual = np.abs(sums - np.rint(sums.real))
+    off = residual > INTEGRALITY_TOL
+    # some sum is not an integer; should rounding hide all of them, name the farthest
+    first = int(np.argmax(off) if off.any() else np.argmax(residual))
+    index = tuple(int(c) for c in np.unravel_index(first, group.factors))
+    raise NonIntegralSpectrumError(index, complex(sums[first]))
 
 
 def delta(spectrum: Spectrum) -> int | None:

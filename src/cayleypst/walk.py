@@ -6,13 +6,12 @@ of the adjacency matrix.  The dense route shares no character machinery and
 serves as the low-tech cross-check for everything else.
 
 The character route needs only the row at the identity vertex.  For a
-power-closed set on a group of at most spectra.MAX_CLASSES power classes it
-is constant on power classes (multiplying by a unit is a graph automorphism
-that fixes the identity), so it is S @ exp(i*t*S @ mask) / |G| with S the
-exact class-sum matrix: one small matvec each way, and no |G| x |G| table.
-The numeric scans and a single amplitude read those k class amplitudes
-and never gather the |G| entries.  Every other set takes two FFTs over the
-factor shape.
+power-closed set it is constant on power classes (multiplying by a unit is a
+graph automorphism that fixes the identity): S @ exp(i*t*S @ mask) / |G|,
+with S the class-sum matrix, one class transform each way and no |G| x |G|
+table.  The numeric scans and a single amplitude read those k class
+amplitudes and never gather the |G| entries.  A set that is not power-closed
+takes two FFTs over the factor shape.
 """
 
 from __future__ import annotations
@@ -33,14 +32,13 @@ from .groups import (
     _require_bound_set,
     _tables,
     check_square,
-    is_power_closed,
 )
 from .spectra import (
     _character_sums,
     _character_transform,
     _class_spectrum,
+    _class_transform,
     _indicator,
-    integral_spectrum,
 )
 from .spectra import character_table  # noqa: F401  (perfbench/tracer.py rebinds walk.character_table)
 
@@ -87,13 +85,12 @@ def _row(
 ) -> tuple[np.ndarray, _IndexTables | None]:
     """The identity row, one amplitude per slot, and the tables that index it or None.
 
-    On the class-space route a slot is a power class and the power-class
-    tables are returned; otherwise a slot is an element, by the FFT, and
-    the tables are None.  There an inverse-closed set's sums are real, so
-    their round-off imaginary parts stay out of the phases, and a
-    power-closed set takes its exact eigenvalues, since t would scale their
-    round-off.  No eigenvalue exceeds |C| in modulus, so a finite t * |C|
-    bounds every phase.
+    For a power-closed set a slot is a power class, the tables are the
+    power-class tables, and the phases come from its exact class spectrum,
+    since t would scale any round-off.  For any other set a slot is an
+    element, by the FFT, and the tables are None; an inverse-closed set's
+    sums are real, so their round-off imaginary parts stay out of the
+    phases.  A finite t * |C| bounds every phase: no eigenvalue exceeds |C|.
     """
     _require_bound_set(group, connection_set)
     size = len(connection_set)
@@ -103,19 +100,12 @@ def _row(
         # the empty graph never moves
         return np.eye(1, group.order, dtype=np.complex128)[0], None
     per_class = _class_spectrum(group, connection_set)
-    if per_class is not None:
-        tables = _tables(group)
-        phases = 1j * t * per_class
-        np.exp(phases, out=phases)
-        # the arithmetic of S @ exp(i*t*spectrum) / |G|, with fewer temporaries
-        row = tables.class_sums.dot(phases)
-        row /= group.order
-        return row, tables
-    if is_power_closed(connection_set):
-        eigenvalues = integral_spectrum(group, connection_set).values
-    else:
-        eigenvalues = _character_sums(connection_set).real
-    return _character_transform(group, np.exp(1j * t * eigenvalues), inverse=True), None
+    if per_class is None:
+        phases = np.exp(1j * t * _character_sums(connection_set).real)
+        return _character_transform(group, phases, inverse=True), None
+    phases = 1j * t * per_class
+    np.exp(phases, out=phases)
+    return _class_transform(group, phases, inverse=True), _tables(group)
 
 
 def _identity_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> np.ndarray:
@@ -158,14 +148,14 @@ def transition_amplitude(
     """Single amplitude U(t)[source, target] through the character decomposition.
 
     Equals (1/|G|) * sum over characters of exp(i*t*chi(C)) * chi(target - source).
-    On the class-space route it is the amplitude of the power class of
+    For a power-closed set it is the amplitude of the power class of
     target - source.
     """
     _require_bound(group, source)
     _require_bound(group, target)
     index = group.index_of(target - source)
     row, tables = _row(group, connection_set, t)
-    # on the class-space route, read the class amplitude and gather no row
+    # for a power-closed set, read the class amplitude and gather no row
     return complex(row[index if tables is None else tables.class_id[index]])
 
 
@@ -216,8 +206,8 @@ def detect_pst_numeric(
     Translation invariance makes the identity row representative of every
     vertex.  Returns the entry whose modulus reaches 1 - 1e-9, or None; the
     row is a unit vector, so no two entries can, and none can while the
-    diagonal entry is above 1e-4, which is read first.  On the class-space
-    route the k class amplitudes are scanned instead of the |G| entries: a
+    diagonal entry is above 1e-4, which is read first.  For a power-closed
+    set the k class amplitudes are scanned instead of the |G| entries: a
     class of two or more members would carry twice the row's norm, so a hit
     is a one-member class, and its member and amplitude are the row's.
     """
@@ -239,8 +229,8 @@ def is_periodic_numeric(
     """True iff |U(t)| at the identity diagonal entry is within 1e-9 of 1.
 
     By translation invariance this settles periodicity of every vertex.  The
-    identity is a power class of its own, the first, so on the class-space
-    route its amplitude is the first class amplitude.
+    identity is a power class of its own, the first, so for a power-closed
+    set its amplitude is the first class amplitude.
     """
     row, _ = _row(group, connection_set, t)
     return bool(abs(row[0]) >= 1.0 - _SCAN_TOL)

@@ -93,8 +93,12 @@ def test_class_route_row_matches_the_fft_row(g, seed):
     empty = ConnectionSet(g, frozenset())
     for c in (empty, random_class_union(g, random.Random(seed))):
         if len(c):
-            on_class_route = len(_tables(g).class_size) <= MAX_CLASSES
-            assert (_class_spectrum(g, c) is not None) == on_class_route
+            # every power-closed set has a class spectrum, the same by the product and by the FFT
+            fresh = ConnectionSet._from_indices(g, c.indices.copy())
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(spectra, "MAX_CLASSES", 0)
+                by_fft = _class_spectrum(g, fresh)
+            assert np.array_equal(_class_spectrum(g, c), by_fft)
         exact = integral_spectrum(g, c).values
         for t in (math.pi / 2, 1.0, 1e6):
             # the FFT kernel is fed the exact spectrum: at t = 1e6 a round-off of
@@ -310,12 +314,18 @@ def test_class_space_criterion_reads_no_spectrum(monkeypatch):
     def refuse(group, connection_set):
         raise AssertionError("the class-space criterion read the |G|-length spectrum")
 
-    g, rng = group("Z8xZ9"), random.Random(5)
-    sets = [near_transfer_set(g, rng, with_a, not with_a) for with_a in (True, False)] * 4
-    expected = [loop_character_criterion(g, c) for c in sets]
     monkeypatch.setattr(pst, "integral_spectrum", refuse)
-    assert [character_criterion(g, c) for c in sets] == expected
-    assert any(expected) and not all(expected)
+    # Z4xZ3^5 has 366 power classes, above MAX_CLASSES: its class values come from the FFT
+    for spec in ("Z8xZ9", "Z4x" + "x".join(["Z3"] * 5)):
+        g, rng = group(spec), random.Random(5)
+        sets = [near_transfer_set(g, rng, with_a, not with_a) for with_a in (True, False)] * 4
+        expected = [loop_character_criterion(g, c) for c in sets]
+        assert [character_criterion(g, c) for c in sets] == expected
+        assert any(expected) and not all(expected)
+        for c in sets:
+            # the walk row is over the power classes too, and no element FFT is kept on the set
+            assert walk._row(g, c, math.pi / 2)[1] is _tables(g)
+            assert c._character_sums is None
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -281,6 +281,15 @@ def test_set_file_rejects_non_integer_coordinates(capsys, tmp_path, payload):
     assert err.count("\n") == 1
 
 
+def test_a_deeply_nested_set_file_is_one_line_exit_2(capsys, tmp_path):
+    setfile = tmp_path / "deep.json"
+    setfile.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, "check", "-g", "Z4", "-c", f"@{setfile}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: connection-set file {setfile} nests too deeply\n"
+
+
 def _edge_cases():
     g, with_a, _ = z433_transfer_sets()
     z2048, z12 = group("Z2048"), group("Z4xZ3")

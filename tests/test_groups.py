@@ -313,6 +313,11 @@ def test_scalar_multiple_set_examples():
     assert scalar_multiple_set(2, {elem(z6, 3)}) == {z6.identity}
     with pytest.raises(ValueError):
         scalar_multiple_set(0, s)
+    # True is 1; a float or a string is refused, not truncated or failed on deep in numpy
+    assert scalar_multiple_set(True, s) == frozenset(s)
+    for k in (2.5, "3"):
+        with pytest.raises(ValueError, match=f"scalar k must be an integer, got {k!r}"):
+            scalar_multiple_set(k, s)
 
 
 @pytest.mark.parametrize("spec,k", [("Z9", 2), ("Z9", 4), ("Z3xZ3", 2), ("Z15", 4)])

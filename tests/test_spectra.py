@@ -303,12 +303,12 @@ def test_integrality_is_decided_by_power_closure(monkeypatch):
         integral_spectrum(z5, split)
     monkeypatch.undo()
     # a power-closed set whose FFT sums come out off an integer is a numeric
-    # fault; Z2^9 has 512 power classes, too many for the class-space route
+    # fault; Z2^9 has 512 power classes, too many for the class-sum product
     cube = group("x".join(["Z2"] * 9))
     closed = cset(cube, [tuple(int(i == j) for i in range(9)) for j in range(9)])
     exact = spectra._character_transform
-    monkeypatch.setattr(spectra, "_character_transform", lambda g, v: exact(g, v) + 1e-3)
+    monkeypatch.setattr(spectra, "_character_transform", lambda *args: exact(*args) + 1e-3)
     with pytest.raises(RuntimeError, match="internal error"):
         integral_spectrum(cube, closed)
-    # the class-space route rounds nothing, so the same fault cannot reach it
+    # the class-sum product takes no FFT, so the same fault cannot reach it
     assert integral_spectrum(z5, cset(z5, [(1,), (2,), (3,), (4,)])).eigenvalues == {4: 1, -1: 4}
