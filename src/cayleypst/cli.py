@@ -219,19 +219,14 @@ def _cmd_enumerate(args) -> int:
 def _cmd_classes(args) -> int:
     group = _group(args)
     orders = _orders(group, _tables(group).class_reps).tolist()
-    classes = []
-    for members, order in zip(power_class_indices(group), orders):
-        # members are sorted by index, which is lexicographic coordinate order
-        coords = _coordinate_rows(group, members)
-        classes.append(
-            {
-                "key": coords[0].tolist(),
-                "member_order": order,
-                "size": len(coords),
-                "elements": coords,
-            }
-        )
-    document = {"group": str(group), "count": len(classes), "classes": classes}
+    # members are sorted by index, which is lexicographic coordinate order
+    rows = (_coordinate_rows(group, members) for members in power_class_indices(group))
+    # a generator: each class's coordinates are made as its text is written
+    classes = (
+        {"key": coords[0].tolist(), "member_order": order, "size": len(coords), "elements": coords}
+        for coords, order in zip(rows, orders)
+    )
+    document = {"group": str(group), "count": len(orders), "classes": classes}
     _emit(document, args)
     return 0
 

@@ -14,7 +14,8 @@ their 2-adic valuations, and the x2, x4 and odd-part maps are computed at
 the indices asked about.  Each group caches one table over all its
 elements, the power-class ids (and the class member lists once read), and
 per power class its valuation, the classes of 2g and 4g and the exact
-class-sum matrix of its characters, each built on first use.  They take
+class-sum matrix of its characters, each built on first use.  The ids and
+the matrix are held in the narrowest integer types that hold them.  They take
 O(|G|) memory, so index-backed operations refuse groups of more than
 MAX_ORDER elements.
 """
@@ -412,7 +413,12 @@ def _multiple_table(group: AbelianGroup, k: int) -> np.ndarray:
 def _orders(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
     """Orders of the elements with these canonical indices: the lcm of their coordinate orders."""
     factors, places = _tables(group).radix
-    return np.lcm.reduce(factors // np.gcd(factors, indices // places % factors), axis=0)
+    # one rank x len(indices) array, overwritten by the coordinates, their gcds and their orders
+    orders = indices // places
+    np.remainder(orders, factors, out=orders)
+    np.gcd(factors, orders, out=orders)
+    np.floor_divide(factors, orders, out=orders)
+    return np.lcm.reduce(orders, axis=0)
 
 
 def _valuations(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
@@ -425,7 +431,10 @@ def _coordinate_rows(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
     """Coordinates of the elements with these indices along a new last axis; a view if cyclic."""
     if group.rank == 1:
         return indices[..., None]
-    return np.stack(np.unravel_index(indices, group.factors), axis=-1)
+    # one array of the result's size and no other: each index over each place value, reduced
+    factors, places = _tables(group).radix
+    rows = indices[..., None] // places.ravel()
+    return np.remainder(rows, factors.ravel(), out=rows)
 
 
 def _picker(ids: list[int]):
@@ -452,7 +461,7 @@ class _IndexTables:
 
     @cached_property
     def class_id(self) -> np.ndarray:
-        """Power-class number of each element, in list_power_classes order."""
+        """Power-class number of each element, in list_power_classes order; the narrowest uint."""
         # A power class is an orbit under multiplication by the units modulo
         # the exponent (they map onto the units modulo every element order).
         # Per generating unit u, a min-label pass over the maps by u, u^2,
@@ -486,7 +495,7 @@ class _IndexTables:
         # each key's class number at the key's index, then each label's in place
         lookup[self.class_reps] = np.arange(len(keys))
         np.take(lookup, label, out=label, mode="clip")
-        return _frozen(label)
+        return _frozen(label.astype(np.min_scalar_type(len(keys) - 1)))
 
     @cached_property
     def class_size(self) -> np.ndarray:
@@ -550,8 +559,9 @@ class _IndexTables:
         classes; both axes are in list_power_classes order, and any member
         represents its class.  For K of order m and s = m * <r_D, r_K> mod m,
         the sum is the Ramanujan sum c_m(s) = mu(m/gcd(m,s)) * phi(m) /
-        phi(m/gcd(m,s)).  The entries are integers of modulus at most |G|,
-        held as float64 so that every product with S is exact.
+        phi(m/gcd(m,s)).  The entries are integers of modulus at most |G|, held
+        in the narrowest signed type that holds +-|G| (int8 up to 127 elements);
+        every product casts S to float64 or complex128, so it is exact.
         """
         (factors, places), reps = self.radix, self.class_reps
         coords, m = reps // places % factors, _orders(self.group, reps)
@@ -561,14 +571,13 @@ class _IndexTables:
         # m and m/gcd(m, s) divide the exponent: look their functions up among its divisors
         divisors, mu, phi = _divisor_functions(math.lcm(*self.group.factors))
         q = np.searchsorted(divisors, m // np.gcd(m, s))
-        return _frozen((mu[q] * (phi[np.searchsorted(divisors, m)] // phi[q])).astype(np.float64))
+        sums = mu[q] * (phi[np.searchsorted(divisors, m)] // phi[q])
+        return _frozen(sums.astype(np.min_scalar_type(-self.group.order - 1)))
 
     @cached_property
     def class_members(self) -> tuple[np.ndarray, ...]:
-        """Sorted member indices of each power class, in list_power_classes order."""
-        # the narrowest type that holds the ids sorts fastest
-        narrow = self.class_id.astype(np.min_scalar_type(len(self.class_size) - 1))
-        by_class = _frozen(np.argsort(narrow, kind="stable"))
+        """Sorted member indices of each power class: the stable argsort of class_id, split."""
+        by_class = _frozen(np.argsort(self.class_id, kind="stable"))
         return tuple(np.split(by_class, np.cumsum(self.class_size)[:-1]))
 
     # per-group constants, each O(1)

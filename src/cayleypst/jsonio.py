@@ -91,8 +91,9 @@ def pieces(value, _level: int = 0) -> Iterator[str]:
     """Yield the JSON text of `value` in pieces; dict keys keep insertion order, floats use %.17g.
 
     Lists of scalars are kept on one line; 2-d and deeper integer arrays
-    render like their `.tolist()`.  Identical inputs always produce identical
-    bytes.
+    render like their `.tolist()`.  An iterator renders like a list with each
+    item on its own line, and is consumed as its text is yielded.  Identical
+    inputs always produce identical bytes.
     """
     leaf = _leaf(value)
     if leaf is not None:
@@ -105,14 +106,14 @@ def pieces(value, _level: int = 0) -> Iterator[str]:
         yield from format_rows(value, inner + _template(value.shape[1:], _level + 1), ",\n")
         yield "\n" + pad + "]"
         return
-    if isinstance(value, (list, tuple)):
-        brackets, entries = "[]", [("", item) for item in value]
+    if isinstance(value, (list, tuple, Iterator)):
+        brackets, entries = "[]", (("", item) for item in value)
     elif isinstance(value, dict):
         for key in value:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
         brackets = "{}"
-        entries = [(encode_basestring_ascii(key) + ": ", item) for key, item in value.items()]
+        entries = ((encode_basestring_ascii(key) + ": ", item) for key, item in value.items())
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
     head = brackets[0] + "\n" + inner
@@ -124,7 +125,8 @@ def pieces(value, _level: int = 0) -> Iterator[str]:
         else:
             yield head + label + leaf
         head = ",\n" + inner
-    yield "\n" + pad + brackets[1]
+    # an empty iterator, the one container that reaches here with no entries
+    yield "\n" + pad + brackets[1] if head[0] == "," else brackets
 
 
 def dumps(value) -> str:

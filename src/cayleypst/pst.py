@@ -413,7 +413,7 @@ def enumerate_pst_sets(
     for start in range(0, total, _CANDIDATE_BLOCK):
         numbers = np.arange(start, min(start + _CANDIDATE_BLOCK, total))
         masks = (numbers[:, None] << 1 >> np.arange(count) & 1).astype(np.float64)
-        # S @ mask of every candidate, exact: the entries are integers held in float64.
+        # S @ mask of every candidate, exact: einsum casts the narrow integer S to float64.
         # einsum runs numpy's own loop: a BLAS matrix product would touch the BLAS
         # work buffer, about 0.2 MB more peak RSS
         block_spectra = np.einsum("ck,dk->cd", masks, tables.class_sums)

@@ -114,8 +114,9 @@ def _character_sums(connection_set: ConnectionSet) -> np.ndarray:
 def _class_transform(group: AbelianGroup, values: np.ndarray, inverse: bool = False) -> np.ndarray:
     """S @ values for a vector over the power classes, divided by |G| when inverse.
 
-    Above MAX_CLASSES classes it is the FFT of the vector spread over the
-    elements, read at one member of each class.
+    The product casts the narrow integer S to float64 or complex128, giving
+    the bytes of a float64 S.  Above MAX_CLASSES classes it is the FFT of the
+    vector spread over the elements, read at one member of each class.
     """
     tables = _tables(group)
     if len(tables.class_size) > MAX_CLASSES:

@@ -70,11 +70,60 @@ def class_indicators(g):
 def test_class_sums_are_the_table_summed_over_classes(g):
     tables = _tables(g)
     sums = tables.class_sums
-    assert sums.dtype == np.float64 and not sums.flags.writeable
+    assert sums.dtype == np.min_scalar_type(-g.order - 1) and not sums.flags.writeable
     assert np.array_equal(sums, np.rint(sums)) and np.abs(sums).max() <= g.order
     # every character of a dual class has the same sum over each class
     dense = character_table(g) @ class_indicators(g)
     assert np.abs(dense - sums[tables.class_id]).max() < 1e-9
+
+
+@pytest.mark.parametrize("spec, dtype", [("Z127", np.int8), ("Z128", np.int16)])
+def test_class_sums_at_the_edges_of_their_type(spec, dtype):
+    g = group(spec)
+    sums = _tables(g).class_sums
+    assert sums.dtype == dtype
+    # no entry wrapped: the narrow matrix is the table summed over classes, rounded
+    dense = character_table(g) @ class_indicators(g)
+    assert np.array_equal(sums[_tables(g).class_id], np.rint(dense.real))
+
+
+@pytest.mark.parametrize("rank, dtype", [(8, np.uint8), (9, np.uint16)])
+def test_class_ids_at_the_edges_of_their_type(rank, dtype):
+    # every element of Z2^rank is its own power class: 2^rank ids
+    tables = _tables(group("x".join(["Z2"] * rank)))
+    assert tables.class_id.dtype == dtype and not tables.class_id.flags.writeable
+    assert sorted(tables.class_id.tolist()) == list(range(2**rank))
+    assert tables.class_id[tables.class_reps].tolist() == list(range(2**rank))
+
+
+@settings(max_examples=30, deadline=None)
+@given(groups_to_512)
+@example(group("x".join(["Z2"] * 9)))
+def test_class_members_are_the_stable_argsort_of_the_ids(g):
+    tables = _tables(g)
+    order = np.argsort(tables.class_id.astype(np.intp), kind="stable")
+    expected = np.split(order, np.cumsum(tables.class_size)[:-1])
+    assert len(tables.class_members) == len(expected)
+    for members, want in zip(tables.class_members, expected):
+        assert members.tolist() == want.tolist()
+
+
+@settings(max_examples=30, deadline=None)
+@given(groups_to_512, st.integers(0, 2**32 - 1))
+@example(group("Z6xZ6xZ5"), 0)
+@example(group("Z127"), 1)
+@example(group("Z128"), 2)
+def test_class_transform_gives_the_bytes_of_a_float64_class_sum_matrix(g, seed):
+    tables = _tables(g)
+    assume(len(tables.class_size) <= MAX_CLASSES)
+    rng = np.random.default_rng(seed)
+    k = len(tables.class_size)
+    real = rng.standard_normal(k)
+    for values in (real, real + 1j * rng.standard_normal(k)):
+        for inverse in (False, True):
+            expected = tables.class_sums.astype(np.float64).dot(values) / (g.order if inverse else 1)
+            found = spectra._class_transform(g, values, inverse)
+            assert found.dtype == expected.dtype and found.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -231,6 +231,10 @@ def test_index_helpers_match_elementwise_arithmetic(spec):
         assert valuation == two_part(brute_element_order(g, x))[0]
         assert brute_element_order(g, g.element_at(odd_part)) % 2 == 1
         assert two_part(brute_element_order(g, x - g.element_at(odd_part)))[1] == 1
+    # pairs of indices, shaped like the ends of exported edges, against numpy's unravelling
+    pairs = np.stack((everything, everything[::-1]), axis=-1)
+    unravelled = np.stack(np.unravel_index(pairs, g.factors), axis=-1)
+    assert np.array_equal(groups._coordinate_rows(g, pairs), unravelled)
     for k in (-1, 2, 3, 4, odd, 5 * g.order + 7):
         # the table of every multiple, built without coordinates, against the helper
         assert groups._multiple_table(g, k).tolist() == groups._multiples(g, k, everything).tolist()

@@ -1,5 +1,7 @@
 """The deterministic JSON renderer against the recursive renderer it replaced."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -78,3 +80,28 @@ def test_int_arrays_render_like_their_lists_in_blocks(array, depth):
 def test_only_int_arrays_of_two_or_more_axes_render(array):
     with pytest.raises(TypeError, match="array to JSON"):
         dumps({"a": array})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(documents, max_size=5))
+def test_an_iterator_renders_like_its_list(items):
+    # a list of scalars only keeps to one line; an iterator gives each item its own
+    if items and all(jsonio._is_scalar(item) for item in items):
+        items.append([[1]])
+    assert dumps(iter(items)) == dumps(items)
+    assert dumps({"k": (item for item in items)}) == dumps({"k": items})
+
+
+def test_an_iterator_is_consumed_as_it_renders():
+    pulled = []
+
+    def rows():
+        for i in range(3):
+            pulled.append(i)
+            yield {"i": i}
+
+    text = pieces({"rows": rows()})
+    assert "".join(itertools.islice(text, 3)) == '{\n  "rows": [\n    {\n      "i": 0'
+    assert pulled == [0]
+    assert "".join(text).endswith('"i": 2\n    }\n  ]\n}')
+    assert pulled == [0, 1, 2]
