@@ -35,7 +35,8 @@ from .groups import (
 from .jsonio import dumps  # noqa: F401  (unused: perfbench/tracer.py requires the cli.dumps site)
 from .jsonio import format_rows, pieces
 from .pst import (
-    CROSS_VALIDATE_MAX_ORDER,
+    _TIME_LABEL,
+    TRANSFER_TIME,
     CrossValidationError,
     Verdict,
     characterize_pst,
@@ -45,7 +46,7 @@ from .pst import (
 from .spectra import NonIntegralSpectrumError, _indicator, integral_spectrum
 from .walk import _difference_index, detect_pst_numeric, transition_amplitude
 
-_PI_LITERAL = re.compile(r"(-)?\s*(\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+))?", re.IGNORECASE)
+_PI_LITERAL = re.compile(r"(-)?\s*([0-9]+)?\s*\*?\s*pi\s*(?:/\s*([0-9]+))?", re.IGNORECASE)
 
 
 def parse_time_literal(text: str) -> tuple[str, float]:
@@ -71,6 +72,9 @@ def parse_time_literal(text: str) -> tuple[str, float]:
             value = math.inf
     else:
         try:
+            # float() alone also takes '1_0' and non-ASCII digits
+            if not stripped.isascii() or "_" in stripped:
+                raise ValueError
             value = float(stripped)
         except ValueError:
             raise ValueError(
@@ -138,11 +142,11 @@ def _cmd_check(args) -> int:
     }
     cross_agrees = None
     if args.cross_validate:
-        detection = detect_pst_numeric(group, cset, math.pi / 2)
+        detection = detect_pst_numeric(group, cset, TRANSFER_TIME)
         fired = detection is not None
         cross_agrees = scan_agrees(report, detection)
         document["cross_validation"] = {
-            "time": "pi/2",
+            "time": _TIME_LABEL,
             "fired": fired,
             "target": list(detection.target.coords) if fired else None,
             "phase": [detection.phase.real, detection.phase.imag] if fired else None,
@@ -194,11 +198,9 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    """The census with each set's report; it always cross-validates, so "cross_validate" is true."""
     group = _group(args)
-    cross = args.cross_validate
-    if cross is None:
-        cross = group.order <= CROSS_VALIDATE_MAX_ORDER
-    sets = enumerate_pst_sets(group, cross)
+    sets = enumerate_pst_sets(group)
     entries = [
         {
             "connection_set": _coords_list(cset),
@@ -208,7 +210,7 @@ def _cmd_enumerate(args) -> int:
     ]
     document = {
         "group": str(group),
-        "cross_validate": cross,
+        "cross_validate": True,
         "count": len(entries),
         "sets": entries,
     }
@@ -310,14 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument("-t", "--time", required=True, help="walk time: float or pi fraction like pi/2")
     walk.add_argument("--source", default=None, help="source vertex (default: identity)")
     walk.add_argument("--target", required=True, help="target vertex, e.g. (2,0,0)")
-    enum = command(
+    command(
         "enumerate", _cmd_enumerate, "census of all transfer-positive class unions", reads_set=False
-    )
-    enum.add_argument(
-        "--cross-validate",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="check every candidate against the numeric scan (default: on for order <= 128)",
     )
     command("classes", _cmd_classes, "list the power classes of a group", reads_set=False)
     export = command("export", _cmd_export, "export the Cayley graph")

@@ -129,13 +129,7 @@ class AbelianGroup:
             reduced = tuple(map(operator.mod, map(operator.index, raw), factors))
         except TypeError:
             for position, value in enumerate(raw):
-                try:
-                    operator.index(value)
-                except TypeError:
-                    raise ValueError(
-                        f"coordinate {position} of an element of {self} must be an integer, "
-                        f"got {value!r}"
-                    ) from None
+                _coordinate(self, position, value)
             raise
         # _element, inlined: sweeps build elements by the hundred thousand
         g = object.__new__(GroupElement)
@@ -180,12 +174,14 @@ class GroupElement:
                 f"element has {len(self.coords)} coordinates but {self.group} "
                 f"has {len(self.group.factors)} factors"
             )
-        for c, n in zip(self.coords, self.group.factors):
+        coords = tuple(_coordinate(self.group, i, c) for i, c in enumerate(self.coords))
+        for c, n in zip(coords, self.group.factors):
             if not 0 <= c < n:
                 raise ValueError(
                     f"coordinate {c} out of range for Z{n}; "
                     "use AbelianGroup.element to reduce"
                 )
+        object.__setattr__(self, "coords", coords)
 
     def __repr__(self) -> str:
         return f"({','.join(str(c) for c in self.coords)})@{self.group}"
@@ -228,6 +224,16 @@ class GroupElement:
     @property
     def order(self) -> int:
         return _element_order(self)
+
+
+def _coordinate(group: AbelianGroup, position: int, value) -> int:
+    """A coordinate as a plain int; a float or a string raises ValueError, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"coordinate {position} of an element of {group} must be an integer, got {value!r}"
+        ) from None
 
 
 def _element(group: AbelianGroup, coords: tuple[int, ...]) -> GroupElement:
@@ -772,10 +778,8 @@ class ConnectionSet:
         "_character_sums",
     )
 
-    def __init__(
-        self, group: AbelianGroup, elements: Iterable[GroupElement], loops_allowed: bool = False
-    ) -> None:
-        self._init(group, _sorted_indices(group, elements), loops_allowed)
+    def __init__(self, group: AbelianGroup, elements: Iterable[GroupElement]) -> None:
+        self._init(group, _sorted_indices(group, elements), False)
 
     @classmethod
     def _from_indices(
@@ -834,8 +838,8 @@ class ConnectionSet:
         raise AttributeError(f"ConnectionSet is immutable; cannot set {name!r}")
 
     def __reduce__(self):
-        # pickle and copy rebuild through the constructor, which never assigns attributes
-        return ConnectionSet, (self.group, self.elements, self.loops_allowed)
+        # pickle and copy rebuild from the indices, validated again, and never assign attributes
+        return ConnectionSet._from_indices, (self.group, self.indices, self.loops_allowed)
 
     @classmethod
     def from_elements(cls, group: AbelianGroup, elements: Iterable[GroupElement]) -> ConnectionSet:
@@ -958,7 +962,15 @@ def subgroup_4m(group: AbelianGroup) -> Subgroup4m:
     return Subgroup4m(group, AbelianGroup(tuple(sub_factors)), j, scale)
 
 
-_FACTOR_RE = re.compile(r"[Zz](\d+)")
+_FACTOR_RE = re.compile(r"[Zz]([0-9]+)")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_integer(text: str) -> int:
+    """An integer literal: ASCII digits with an optional sign (int() alone takes '1_0' too)."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"invalid integer literal {text!r}: use ASCII digits and an optional sign")
+    return int(text)
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -991,9 +1003,9 @@ def parse_element(group: AbelianGroup, text: str) -> GroupElement:
             inner = compact[1:-1]
             if not inner:
                 raise ValueError("empty tuple")
-            return group.element(int(p) for p in inner.split(","))
+            return group.element(_parse_integer(p) for p in inner.split(","))
         if group.rank == 1:
-            return group.element([int(compact)])
+            return group.element([_parse_integer(compact)])
     except ValueError as exc:
         raise ValueError(f"bad element literal {text!r} for {group}: {exc}") from None
     raise ValueError(

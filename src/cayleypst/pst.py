@@ -3,15 +3,14 @@
 Three independent routes are provided: the structural conditions on the
 connection set (the main characterization), a character-phase identity over
 the integer spectrum, and the numeric row scan from the walk module.  They
-must always agree on groups with a cyclic Sylow-2-subgroup; the enumeration
-helper can enforce that agreement candidate by candidate.
+must always agree on groups with a cyclic Sylow-2-subgroup; the census
+enforces that agreement candidate by candidate.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,7 +40,6 @@ from .walk import detect_pst_numeric
 
 TRANSFER_TIME = math.pi / 2
 _TIME_LABEL = "pi/2"
-CROSS_VALIDATE_MAX_ORDER = 128
 # Census candidates whose class masks, and then spectra, are built in one numpy call.
 _CANDIDATE_BLOCK = 512
 
@@ -372,20 +370,17 @@ def _census_count(group: AbelianGroup) -> int:
     return 1 << (cyclic * (group.d - 1))
 
 
-def enumerate_pst_sets(
-    group: AbelianGroup,
-    cross_validate: bool | None = None,
-) -> list[ConnectionSet]:
+def enumerate_pst_sets(group: AbelianGroup) -> list[ConnectionSet]:
     """Census of every power-closed connection set that admits transfer.
 
-    Iterates all unions of non-identity power classes.  With cross-validation
-    on, every candidate (positive and negative) is compared against the
-    numeric row scan at time pi/2; any disagreement raises
-    CrossValidationError carrying the counterexample.  When cross_validate is
-    None it defaults to on for orders up to 128 and off (with a warning)
-    above.  Results are ordered by (size, lexicographic class keys).  A group
-    with 2^classes above groups.MAX_ORDER raises CapExceededError.  The count
-    found must be the closed form of _census_count, or RuntimeError is raised.
+    Iterates all unions of non-identity power classes, and compares every
+    candidate (positive and negative) against the numeric row scan at time
+    pi/2; any disagreement raises CrossValidationError carrying the
+    counterexample.  A scan reads the k class amplitudes, so it costs the
+    same at every order.  Results are ordered by (size, lexicographic class
+    keys).  A group with 2^classes above groups.MAX_ORDER raises
+    CapExceededError.  The count found must be the closed form of
+    _census_count, or RuntimeError is raised.
     """
     if not sylow2_cyclic(group):
         raise ValueError(f"{group} is out of scope: its Sylow-2-subgroup is not cyclic")
@@ -396,15 +391,6 @@ def enumerate_pst_sets(
             f"{group} has {count} power classes, and 2^{count} is "
             f"above the cap of {MAX_ORDER} (cayleypst.groups.MAX_ORDER)"
         )
-    if cross_validate is None:
-        cross_validate = group.order <= CROSS_VALIDATE_MAX_ORDER
-        if not cross_validate:
-            warnings.warn(
-                f"cross-validation disabled for |{group}| = {group.order} > "
-                f"{CROSS_VALIDATE_MAX_ORDER}; pass cross_validate=True to force it",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     # the identity is power class 0, never chosen: bit i of candidate n marks class i + 1
     total = 1 << (count - 1)
     # a class's key is its least member's index
@@ -421,10 +407,9 @@ def enumerate_pst_sets(
             # copies: a row of a block would keep the whole block alive in every set found
             candidate = ConnectionSet._from_class_mask(group, mask.copy(), spectrum.copy())
             report = characterize_pst(group, candidate)
-            if cross_validate:
-                detection = detect_pst_numeric(group, candidate, TRANSFER_TIME)
-                if not scan_agrees(report, detection):
-                    raise CrossValidationError(candidate, report, detection)
+            detection = detect_pst_numeric(group, candidate, TRANSFER_TIME)
+            if not scan_agrees(report, detection):
+                raise CrossValidationError(candidate, report, detection)
             if report.verdict is Verdict.PST:
                 chosen = sorted(keys[i] for i in np.flatnonzero(mask))
                 found.append((len(candidate), tuple(chosen), candidate))

@@ -36,7 +36,7 @@ def test_the_census_count_is_the_closed_form():
     ]
     assert len(census) == 279
     for g in census:
-        assert len(enumerate_pst_sets(g, cross_validate=False)) == pst._census_count(g), g
+        assert len(enumerate_pst_sets(g)) == pst._census_count(g), g
 
 
 @pytest.mark.parametrize(
@@ -66,7 +66,7 @@ def test_a_count_off_the_closed_form_is_an_internal_error(monkeypatch):
 @pytest.mark.parametrize("spec", ["Z4xZ3xZ3", "Z8xZ9", "Z32xZ3"])
 def test_kept_class_arrays_own_their_data(spec):
     g = group(spec)
-    sets = enumerate_pst_sets(g, cross_validate=False)
+    sets = enumerate_pst_sets(g)
     assert sets
     sums = _tables(g).class_sums
     for c in sets:

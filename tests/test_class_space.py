@@ -193,7 +193,7 @@ def test_production_never_reads_the_character_table(monkeypatch, capsys):
     with pytest.raises(NonIntegralSpectrumError) as err:
         integral_spectrum(z5, cset(z5, [(1,), (4,)]))
     assert err.value.index == (1,) and isinstance(err.value.value, complex)
-    assert len(enumerate_pst_sets(group("Z8xZ3"), cross_validate=True)) == 16
+    assert len(enumerate_pst_sets(group("Z8xZ3"))) == 16
     cube = group("x".join(["Z2"] * 9))
     c = cset(cube, [tuple(int(i == j) for i in range(9)) for j in range(9)])
     assert len(_tables(cube).class_size) > MAX_CLASSES
@@ -217,7 +217,7 @@ def test_production_never_reads_the_character_table(monkeypatch, capsys):
         ["check", *pair, "--cross-validate"],
         ["spectrum", *pair],
         ["walk", *pair, "-t", "pi/2", "--target", "(4,0)"],
-        ["enumerate", "-g", "Z8xZ3", "--cross-validate"],
+        ["enumerate", "-g", "Z8xZ3"],
         ["classes", "-g", "Z8xZ3"],
         *(["export", *pair, "--format", form] for form in ("adjacency", "dot", "json")),
     ):
@@ -451,7 +451,7 @@ def census_candidates(g):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pst, "characterize_pst", record)
-        enumerate_pst_sets(g, cross_validate=False)
+        enumerate_pst_sets(g)
     return seen
 
 

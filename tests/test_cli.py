@@ -135,6 +135,7 @@ def test_enumerate_command(capsys):
     assert doc["count"] == 2
     assert [e["connection_set"] for e in doc["sets"]] == [[[2]], [[1], [3]]]
     assert all(e["report"]["verdict"] == "PST" for e in doc["sets"])
+    assert doc["cross_validate"] is True
     code, out, _ = run_cli(capsys, "enumerate", "-g", "Z3")
     assert json.loads(out)["count"] == 0
 
@@ -242,12 +243,21 @@ def test_seventeen_digit_floats(capsys):
         ("check", "-g", "Z4", "-c", "1,3"),
         ("walk", "-g", "Z2", "-c", "{1}", "-t", "pie", "--target", "1"),
         ("export", "-g", "Z4xZ3", "-c", "{(0,1)}"),
+        # integer literals are ASCII digits with an optional sign, everywhere
+        ("check", "-g", "Z1_0", "-c", "{}"),
+        ("check", "-g", "Z8", "-c", "{1_0,-10}"),
+        ("walk", "-g", "Z8", "-c", "{2,6}", "-t", "1_0", "--target", "4"),
+        ("walk", "-g", "Z8", "-c", "{2,6}", "-t", "pi/2", "--target", "4_0"),
+        ("check", "-g", "Z\u0668", "-c", "{\u0662,\u0666}"),
+        ("check", "-g", "Z8", "-c", "{\u0662,\u0666}"),
+        ("walk", "-g", "Z8", "-c", "{2,6}", "-t", "\u0663pi/\u0662", "--target", "4"),
+        ("walk", "-g", "Z8", "-c", "{2,6}", "-t", "0.\u0665", "--target", "4"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert err.startswith("error:")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("time", ["nan", "1e400", "inf", "-inf", "1e308"])
@@ -355,8 +365,21 @@ def test_classes_command_matches_list_power_classes(capsys):
         (("spectrum", "-g", "Z5", "-c", "{1,4}", "--tol", "0.9"), "unrecognized arguments: --tol 0.9"),
         (("check", "-g", "Z6", "-c", "{1,5}", "--tol", "1e-9"), "unrecognized arguments: --tol 1e-9"),
         (("enumerate", "-g", "Z4", "--tol", "1e-9"), "unrecognized arguments: --tol 1e-9"),
+        (("enumerate", "-g", "Z4", "--cross-validate"), "unrecognized arguments: --cross-validate"),
+        (
+            ("enumerate", "-g", "Z4", "--no-cross-validate"),
+            "unrecognized arguments: --no-cross-validate",
+        ),
     ],
-    ids=["unknown_flag", "missing_group", "spectrum_tol", "check_tol", "enumerate_tol"],
+    ids=[
+        "unknown_flag",
+        "missing_group",
+        "spectrum_tol",
+        "check_tol",
+        "enumerate_tol",
+        "enumerate_cross_validate",
+        "enumerate_no_cross_validate",
+    ],
 )
 def test_usage_errors_exit_2_with_one_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cayleypst import (
     AbelianGroup,
     ConnectionSet,
+    GroupElement,
     GroupMismatchError,
     element_order,
     is_power_closed,
@@ -114,6 +115,22 @@ def test_element_reads_each_coordinate_as_an_integer():
     for coords in ([1.7, 2.9], ["3", True]):
         with pytest.raises(ValueError):
             z4xz3.element(coords)
+
+
+def test_group_element_reads_each_coordinate_as_an_integer():
+    g = group("Z4xZ3")
+    for coords, position in [((1.5, 0), 0), ((1, np.float64(2.0)), 1), ((1, "2"), 1)]:
+        message = f"coordinate {position} of an element of Z4xZ3 must be an integer, got "
+        with pytest.raises(ValueError, match=message):
+            GroupElement(g, coords)
+    # a bool and a numpy int are integers, stored as plain ints
+    for coords, expected in [((True, 0), (1, 0)), ((np.int64(3), np.int32(2)), (3, 2))]:
+        x = GroupElement(g, coords)
+        assert x.coords == expected and all(type(c) is int for c in x.coords)
+        assert x == g.element(expected) and g.index_of(x) == 3 * expected[0] + expected[1]
+    assert str(GroupElement(g, (True, 0))) == "(1,0)"
+    with pytest.raises(ValueError, match="out of range for Z4"):
+        GroupElement(g, (np.int64(4), 0))
 
 
 def test_element_arithmetic():
@@ -419,6 +436,11 @@ def test_parse_element():
         parse_element(g, "(1,2)")
     with pytest.raises(ValueError):
         parse_element(z5, "()")
+    assert parse_element(z5, "+7").coords == (2,)
+    # ASCII digits with an optional sign: no underscores, no other digits, no second sign
+    for text in ("1_0", "(1_0)", "\u0662", "(\u0662)", "+-1", "--1", "1.0", "0x1"):
+        with pytest.raises(ValueError, match="invalid integer literal"):
+            parse_element(z5, text)
 
 
 def test_parse_connection_set():

@@ -234,17 +234,17 @@ def test_parity_report_preconditions():
 
 def test_enumerate_small_groups():
     z2 = group("Z2")
-    found = enumerate_pst_sets(z2, True)
+    found = enumerate_pst_sets(z2)
     assert [sorted(x.coords[0] for x in c.elements) for c in found] == [[1]]
     z4 = group("Z4")
-    found = enumerate_pst_sets(z4, True)
+    found = enumerate_pst_sets(z4)
     assert [sorted(x.coords[0] for x in c.elements) for c in found] == [[2], [1, 3]]
-    assert enumerate_pst_sets(group("Z3"), True) == []
+    assert enumerate_pst_sets(group("Z3")) == []
 
 
 def test_enumerate_is_cross_validated_and_canonical():
     z12 = group("Z12")
-    found = enumerate_pst_sets(z12, True)
+    found = enumerate_pst_sets(z12)
     sizes = [len(c) for c in found]
     assert sizes == sorted(sizes)
     for c in found:
@@ -257,9 +257,9 @@ def test_enumerate_is_cross_validated_and_canonical():
 
 def test_enumerate_rejects_out_of_scope_and_cap():
     with pytest.raises(ValueError):
-        enumerate_pst_sets(group("Z2xZ2"), False)
+        enumerate_pst_sets(group("Z2xZ2"))
     with pytest.raises(CapExceededError, match="24 power classes, and 2\\^24 is above the cap"):
-        enumerate_pst_sets(group("Z4xZ3xZ5xZ7"), False)
+        enumerate_pst_sets(group("Z4xZ3xZ5xZ7"))
 
 
 def test_enumerate_cross_validation_mismatch_aborts(monkeypatch):
@@ -267,7 +267,7 @@ def test_enumerate_cross_validation_mismatch_aborts(monkeypatch):
     # triggers the abort path
     monkeypatch.setattr(cayleypst.pst, "detect_pst_numeric", lambda *a, **k: None)
     with pytest.raises(CrossValidationError) as err:
-        enumerate_pst_sets(group("Z4"), True)
+        enumerate_pst_sets(group("Z4"))
     assert err.value.connection_set is not None
 
 
@@ -294,10 +294,11 @@ def test_errors_survive_pickling():
         )
 
 
-def test_enumerate_warns_when_auto_disabling(monkeypatch):
-    monkeypatch.setattr(cayleypst.pst, "CROSS_VALIDATE_MAX_ORDER", 8)
-    with pytest.warns(RuntimeWarning):
-        enumerate_pst_sets(group("Z12"))
+def test_enumerate_cross_validates_above_order_128(monkeypatch):
+    # order 160: every census is checked against the numeric scan, at any order
+    monkeypatch.setattr(cayleypst.pst, "detect_pst_numeric", lambda *a, **k: None)
+    with pytest.raises(CrossValidationError):
+        enumerate_pst_sets(group("Z32xZ5"))
 
 
 def test_scan_agrees_compares_verdict_target_and_scope():
@@ -354,7 +355,7 @@ def test_vectorized_character_criterion_matches_the_character_loop(g, seed):
         x = min(cls, key=lambda y: y.coords)
         candidates.append(ConnectionSet(g, [x, -x]))
     if sylow2_cyclic(g) and len(list_power_classes(g)) <= 8:
-        candidates += enumerate_pst_sets(g, cross_validate=False)
+        candidates += enumerate_pst_sets(g)
     for c in candidates:
         expected = criterion_outcome(loop_character_criterion, g, c)
         assert criterion_outcome(character_criterion, g, c) == expected, c
