@@ -24,7 +24,6 @@ from .groups import (
     AbelianGroup,
     ConnectionSet,
     _coordinate_rows,
-    _orders,
     _tables,
     check_order,
     parse_connection_set,
@@ -201,26 +200,19 @@ def _cmd_enumerate(args) -> int:
     """The census with each set's report; it always cross-validates, so "cross_validate" is true."""
     group = _group(args)
     sets = enumerate_pst_sets(group)
-    entries = [
-        {
-            "connection_set": _coords_list(cset),
-            "report": characterize_pst(group, cset).to_json_dict(),
-        }
+    # a generator: each set's coordinates and report are made as its text is written
+    entries = (
+        {"connection_set": _coords_list(cset), "report": characterize_pst(group, cset).to_json_dict()}
         for cset in sets
-    ]
-    document = {
-        "group": str(group),
-        "cross_validate": True,
-        "count": len(entries),
-        "sets": entries,
-    }
+    )
+    document = {"group": str(group), "cross_validate": True, "count": len(sets), "sets": entries}
     _emit(document, args)
     return 0
 
 
 def _cmd_classes(args) -> int:
     group = _group(args)
-    orders = _orders(group, _tables(group).class_reps).tolist()
+    orders = _tables(group).class_order.tolist()
     # members are sorted by index, which is lexicographic coordinate order
     rows = (_coordinate_rows(group, members) for members in power_class_indices(group))
     # a generator: each class's coordinates are made as its text is written

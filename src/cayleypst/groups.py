@@ -13,11 +13,11 @@ multiples) runs on numpy index arrays.  Negation, element orders and
 their 2-adic valuations, and the x2, x4 and odd-part maps are computed at
 the indices asked about.  Each group caches one table over all its
 elements, the power-class ids (and the class member lists once read), and
-per power class its valuation, the classes of 2g and 4g and the exact
-class-sum matrix of its characters, each built on first use.  The ids and
-the matrix are held in the narrowest integer types that hold them.  They take
-O(|G|) memory, so index-backed operations refuse groups of more than
-MAX_ORDER elements.
+per power class its least member, its element order (both found with the
+ids), the exact class-sum matrix of its characters and what the transfer
+conditions read, each built on first use.  The ids and the matrix are held
+in the narrowest integer types that hold them.  They take O(|G|) memory, so
+index-backed operations refuse groups of more than MAX_ORDER elements.
 """
 
 from __future__ import annotations
@@ -131,12 +131,7 @@ class AbelianGroup:
             for position, value in enumerate(raw):
                 _coordinate(self, position, value)
             raise
-        # _element, inlined: sweeps build elements by the hundred thousand
-        g = object.__new__(GroupElement)
-        state = g.__dict__
-        state["group"] = self
-        state["coords"] = reduced
-        return g
+        return _element(self, reduced)
 
     def elements(self) -> Iterator[GroupElement]:
         """All elements in canonical (lexicographic coordinate) order."""
@@ -466,8 +461,8 @@ class _IndexTables:
         self.group = group
 
     @cached_property
-    def class_id(self) -> np.ndarray:
-        """Power-class number of each element, in list_power_classes order; the narrowest uint."""
+    def _power_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """class_id, class_reps and class_order, from one labelling of the elements."""
         # A power class is an orbit under multiplication by the units modulo
         # the exponent (they map onto the units modulo every element order).
         # Per generating unit u, a min-label pass over the maps by u, u^2,
@@ -497,41 +492,33 @@ class _IndexTables:
         lookup = np.zeros(group.order, dtype=np.intp)
         lookup[label] = 1
         keys = np.flatnonzero(lookup)
-        self.class_reps = _frozen(keys[np.lexsort((keys, _orders(group, keys)))])
+        orders = _orders(group, keys)
+        by_order = np.lexsort((keys, orders))
+        reps = keys[by_order]
         # each key's class number at the key's index, then each label's in place
-        lookup[self.class_reps] = np.arange(len(keys))
+        lookup[reps] = np.arange(len(keys))
         np.take(lookup, label, out=label, mode="clip")
-        return _frozen(label.astype(np.min_scalar_type(len(keys) - 1)))
+        ids = label.astype(np.min_scalar_type(len(keys) - 1))
+        return _frozen(ids), _frozen(reps), _frozen(orders[by_order])
 
     @cached_property
-    def class_size(self) -> np.ndarray:
-        return _frozen(np.bincount(self.class_id))
+    def class_id(self) -> np.ndarray:
+        """Power-class number of each element, in list_power_classes order; the narrowest uint."""
+        return self._power_classes[0]
 
     @cached_property
     def class_reps(self) -> np.ndarray:
         """The least member of each power class; any member represents its class."""
-        self.class_id  # the labelling finds them
-        return self.__dict__["class_reps"]
+        return self._power_classes[1]
 
     @cached_property
-    def class_valuation(self) -> np.ndarray:
-        """2-adic valuation of the element order of each power class."""
-        return _frozen(_valuations(self.group, self.class_reps))
+    def class_order(self) -> np.ndarray:
+        """The element order of each power class: the classes are sorted by it."""
+        return self._power_classes[2]
 
     @cached_property
-    def class_buckets(self) -> tuple[list[int], list[int], list[int]]:
-        """Ids of the power classes of valuation 0, 1 and 2, in class order."""
-        return tuple(np.flatnonzero(self.class_valuation == k).tolist() for k in range(3))
-
-    @cached_property
-    def class_times2(self) -> np.ndarray:
-        """Power class of 2g for g in each class; x2 maps a power class onto a power class."""
-        return _frozen(self.class_id[_multiples(self.group, 2, self.class_reps)])
-
-    @cached_property
-    def class_times4(self) -> np.ndarray:
-        """Power class of 4g for g in each class."""
-        return _frozen(self.class_id[_multiples(self.group, 4, self.class_reps)])
+    def class_size(self) -> np.ndarray:
+        return _frozen(np.bincount(self.class_id))
 
     @cached_property
     def condition_pickers(self) -> tuple:
@@ -539,20 +526,25 @@ class _IndexTables:
 
         The classes {a} and {b, -b}, then three pickers over a mask's list:
         the classes of valuation 2 other than {b, -b}, and their images
-        under x4 and under x2.  Each image is a class of the same odd-order
-        cyclic subgroup, so x4 maps them one to one onto the classes of
-        valuation 0 other than the identity's, and x2 onto those of
-        valuation 1 other than {a}.  So C_0 = 4*(C_2 minus {b, -b}) holds iff
-        the first two pickers read the same, and C_1 minus {a} = 2*(C_2 minus
-        {b, -b}) iff the first and the last do.
+        under x4 and under x2, which map a power class onto a power class.
+        Each image is a class of the same odd-order cyclic subgroup, so x4
+        maps them one to one onto the classes of valuation 0 other than the
+        identity's, and x2 onto those of valuation 1 other than {a}.  So
+        C_0 = 4*(C_2 minus {b, -b}) holds iff the first two pickers read the
+        same, and C_1 minus {a} = 2*(C_2 minus {b, -b}) iff the first and the
+        last do.
         """
         a, b = self.transfer_classes
-        bucket0, bucket1, bucket2 = self.class_buckets
-        core = [i for i in bucket2 if i != b]
-        fourfold = self.class_times4[core].tolist()
-        twofold = self.class_times2[core].tolist()
+        # 2**valuation of each class's element order
+        two_power = self.class_order & -self.class_order
+        core = [i for i in np.flatnonzero(two_power == 4).tolist() if i != b]
+        reps = self.class_reps[core]
+        fourfold = self.class_id[_multiples(self.group, 4, reps)].tolist()
+        twofold = self.class_id[_multiples(self.group, 2, reps)].tolist()
         # the identity's class comes first in class order
-        if sorted(fourfold) != bucket0[1:] or sorted(twofold) != [i for i in bucket1 if i != a]:
+        odd = np.flatnonzero(two_power == 1).tolist()[1:]
+        halves = [i for i in np.flatnonzero(two_power == 2).tolist() if i != a]
+        if sorted(fourfold) != odd or sorted(twofold) != halves:
             raise RuntimeError(f"internal error: x2 or x4 is not one to one on {self.group}")
         return a, b, _picker(core), _picker(fourfold), _picker(twofold)
 
@@ -570,7 +562,7 @@ class _IndexTables:
         every product casts S to float64 or complex128, so it is exact.
         """
         (factors, places), reps = self.radix, self.class_reps
-        coords, m = reps // places % factors, _orders(self.group, reps)
+        coords, m = reps // places % factors, self.class_order
         # m * r_K is the identity, so each m * r_K,i / n_i is an integer
         scaled = coords * m // factors
         s = (coords.T @ scaled) % m
@@ -823,16 +815,16 @@ class ConnectionSet:
     def _store(
         self, group, indices, loops_allowed, class_mask, power_closed, class_spectrum=None
     ) -> None:
-        # every slot, in __slots__ order, through the slots' own setters
-        slot = _SLOT_SETTERS
-        slot[0](self, group)
-        slot[1](self, _frozen(indices))
-        slot[2](self, loops_allowed)
-        slot[3](self, None)
-        slot[4](self, class_mask)
-        slot[5](self, power_closed)
-        slot[6](self, class_spectrum)
-        slot[7](self, None)
+        # every slot, in __slots__ order: __setattr__ refuses every assignment
+        store = object.__setattr__
+        store(self, "group", group)
+        store(self, "indices", _frozen(indices))
+        store(self, "loops_allowed", loops_allowed)
+        store(self, "_elements", None)
+        store(self, "_class_mask", class_mask)
+        store(self, "_power_closed", power_closed)
+        store(self, "_class_spectrum", class_spectrum)
+        store(self, "_character_sums", None)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"ConnectionSet is immutable; cannot set {name!r}")
@@ -907,11 +899,6 @@ class ConnectionSet:
     def __repr__(self) -> str:
         coords = [g.coords for g in self.sorted_elements()]
         return f"ConnectionSet({coords}@{self.group})"
-
-
-# The setters of ConnectionSet's slots, bound once: __setattr__ refuses every
-# assignment, and these cost half of object.__setattr__ in the census loop.
-_SLOT_SETTERS = tuple(getattr(ConnectionSet, name).__set__ for name in ConnectionSet.__slots__)
 
 
 @dataclass(frozen=True)

@@ -93,25 +93,12 @@ class PstReport:
         }
 
 
-def _report(verdict, pair, time, time_value, conditions, diagnostics) -> PstReport:
-    """A report from fields already of the right types; skips the frozen dataclass's __init__."""
-    report = object.__new__(PstReport)
-    state = report.__dict__
-    state["verdict"] = verdict
-    state["pair"] = pair
-    state["time"] = time
-    state["time_value"] = time_value
-    state["conditions"] = conditions
-    state["diagnostics"] = diagnostics
-    return report
-
-
 def _positive(tables, conditions: dict[str, bool]) -> PstReport:
-    return _report(Verdict.PST, tables.transfer_pair, _TIME_LABEL, TRANSFER_TIME, conditions, ())
+    return PstReport(Verdict.PST, tables.transfer_pair, _TIME_LABEL, TRANSFER_TIME, conditions, ())
 
 
 def _negative(conditions: dict[str, bool], diagnostics: tuple[str, ...]) -> PstReport:
-    return _report(Verdict.NO_PST, None, None, None, conditions, diagnostics)
+    return PstReport(Verdict.NO_PST, None, None, None, conditions, diagnostics)
 
 
 def _decided(tables, conditions: dict[str, bool]) -> PstReport:
@@ -203,7 +190,7 @@ def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstR
     if group.d >= 2 and tables.sylow2_cyclic and is_power_closed(connection_set):
         return _decided(tables, _class_conditions(tables, _class_mask(connection_set)))
     if not tables.sylow2_cyclic:
-        return _report(
+        return PstReport(
             Verdict.OUT_OF_SCOPE,
             None,
             None,

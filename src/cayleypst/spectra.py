@@ -152,22 +152,16 @@ def _class_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> np.nd
 class Spectrum:
     """Exact integer eigenvalues of an integral translation graph.
 
-    `values` is the read-only int64 array of eigenvalues in canonical
-    character order; `eigenvalues`, the multiset keyed by value in
-    descending order, is derived on first read.  A non-empty set's spectrum
-    holds only the eigenvalue and the size of each dual power class: it
-    spreads them into `values` when that is read, and `eigenvalues` and
-    `to_json_dict` never do.
+    Every spectrum, the empty set's too, holds only the eigenvalue and the
+    size of each dual power class.  `values`, the read-only int64 array of
+    eigenvalues in canonical character order, spreads them over the
+    characters when first read; `eigenvalues`, the multiset keyed by value
+    in descending order, is counted from the class sizes, so neither it nor
+    `to_json_dict` ever spreads them.
     """
 
     def __init__(self) -> None:
         raise TypeError("a Spectrum comes from integral_spectrum; it has no public constructor")
-
-    @classmethod
-    def _from_values(cls, group: AbelianGroup, values: np.ndarray) -> Spectrum:
-        spectrum = cls.__new__(cls)
-        spectrum.__dict__.update(group=group, values=_frozen(values), _classes=None)
-        return spectrum
 
     @classmethod
     def _from_classes(cls, group: AbelianGroup, values: np.ndarray, sizes: np.ndarray) -> Spectrum:
@@ -194,13 +188,10 @@ class Spectrum:
 
     @cached_property
     def eigenvalues(self) -> dict[int, int]:
-        if self._classes is None:
-            distinct, counts = np.unique(self.values, return_counts=True)
-        else:
-            per_class, sizes = self._classes
-            distinct, which = np.unique(per_class, return_inverse=True)
-            # the sizes sum to |G|, well inside float64's exact integers
-            counts = np.bincount(which, weights=sizes).astype(np.int64)
+        per_class, sizes = self._classes
+        distinct, which = np.unique(per_class, return_inverse=True)
+        # the sizes sum to |G|, well inside float64's exact integers
+        counts = np.bincount(which, weights=sizes).astype(np.int64)
         return dict(zip(distinct[::-1].tolist(), counts[::-1].tolist()))
 
     @property
@@ -226,16 +217,14 @@ def integral_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> Spe
     """Evaluate every character sum as an exact integer.
 
     The spectrum is integral exactly when the set is power-closed, and
-    is_power_closed decides it.  A power-closed set's spectrum holds one
-    eigenvalue per dual power class (_class_spectrum).  A set that is not
+    is_power_closed decides it.  Every spectrum holds one eigenvalue per
+    dual power class (_class_spectrum); the empty set is the union of no
+    classes, so its spectrum is all zeros.  A set that is not
     power-closed raises NonIntegralSpectrumError naming the first character
     in canonical order whose sum, by the FFT, is off an integer by more than
     INTEGRALITY_TOL.
     """
     _require_bound_set(group, connection_set)
-    if not len(connection_set):
-        # the empty graph: no power-class table and no FFT
-        return Spectrum._from_values(group, np.zeros(group.order, dtype=np.int64))
     per_class = _class_spectrum(group, connection_set)
     if per_class is not None:
         return Spectrum._from_classes(group, per_class.astype(np.int64), _tables(group).class_size)

@@ -285,20 +285,44 @@ def test_per_class_tables_hold_for_every_member():
     for spec in ("Z4xZ3xZ3", "Z8xZ9", "Z5xZ32xZ3", "Z2xZ2xZ3", "Z9", "Z12xZ5"):
         g = group(spec)
         tables = _tables(g)
-        for k, members in enumerate(tables.class_members):
+        members = [[g.element_at(i) for i in m.tolist()] for m in tables.class_members]
+        valuation = []
+        for k, elements in enumerate(members):
             assert tables.class_id[tables.class_reps[k]] == k
-            elements = [g.element_at(i) for i in members.tolist()]
-            valuations = {two_part(brute_element_order(g, x))[0] for x in elements}
-            assert valuations == {tables.class_valuation[k]}
-            assert {tables.class_id[g.index_of(2 * x)] for x in elements} == {tables.class_times2[k]}
-            assert {tables.class_id[g.index_of(4 * x)] for x in elements} == {tables.class_times4[k]}
-        buckets = [np.flatnonzero(tables.class_valuation == v).tolist() for v in range(3)]
-        assert list(tables.class_buckets) == buckets
-        if groups.sylow2_cyclic(g) and g.d >= 2:
-            a, b = tables.transfer_classes
-            pair = sorted(g.index_of(x) for x in groups.order_four_pair(g))
-            assert tables.class_members[a].tolist() == [g.index_of(groups.unique_involution(g))]
-            assert tables.class_members[b].tolist() == pair
+            orders = {brute_element_order(g, x) for x in elements}
+            assert orders == {tables.class_order[k]}
+            valuation.append(two_part(orders.pop())[0])
+        if not (groups.sylow2_cyclic(g) and g.d >= 2):
+            # no involution a and no order-four pair b, -b: nothing for the pickers to read
+            with pytest.raises(ValueError):
+                tables.condition_pickers
+            continue
+        a, b, core, fourfold, twofold = tables.condition_pickers
+        pair = sorted(g.index_of(x) for x in groups.order_four_pair(g))
+        assert tables.class_members[a].tolist() == [g.index_of(groups.unique_involution(g))]
+        assert tables.class_members[b].tolist() == pair
+        # the pickers read a list of class ids at the core classes and at their images
+        ids = list(range(len(members)))
+        assert list(core(ids)) == [k for k, v in enumerate(valuation) if v == 2 and k != b]
+        for k, four, two in zip(core(ids), fourfold(ids), twofold(ids)):
+            assert {tables.class_id[g.index_of(4 * x)] for x in members[k]} == {four}
+            assert {tables.class_id[g.index_of(2 * x)] for x in members[k]} == {two}
+        assert sorted(fourfold(ids)) == [k for k, v in enumerate(valuation) if v == 0][1:]
+        assert sorted(twofold(ids)) == [k for k, v in enumerate(valuation) if v == 1 and k != a]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(2, 64), min_size=1, max_size=4)
+    .filter(lambda fs: math.prod(fs) <= 128)
+    .map(lambda fs: AbelianGroup(tuple(fs)))
+)
+@example(group("Z4x" + "x".join(["Z3"] * 5)))
+def test_class_orders_are_the_orders_of_the_representatives(g):
+    tables = _tables(g)
+    orders = tables.class_order
+    assert orders.tolist() == groups._orders(g, tables.class_reps).tolist()
+    assert not orders.flags.writeable and orders.tolist() == sorted(orders.tolist())
 
 
 @settings(max_examples=60, deadline=None)

@@ -108,6 +108,54 @@ def test_spectrum_command(capsys):
     assert json.loads(out)["spectrum"]["eigenvalues"] == [[1, 1], [-1, 1]]
 
 
+EMPTY_SPECTRUM = """{
+  "group": "%s",
+  "connection_set": [],
+  "spectrum": {
+    "eigenvalues": [
+      [0, %d]
+    ]
+  }
+}
+"""
+
+EMPTY_CHECK = """{
+  "group": "%s",
+  "connection_set": [],
+  "loops_allowed": false,
+  "report": {
+    "verdict": "NoPST",
+    "pair": null,
+    "time": null,
+    "time_value": null,
+    "conditions": {
+      "power_closed": true,
+      "exactly_one_of_a_b": false,
+      "c0_equals_4c2": true,
+      "c1_equals_2c2": true
+    },
+    "diagnostics": ["condition exactly_one_of_a_b failed"]
+  },
+  "cross_validation": {
+    "time": "pi/2",
+    "fired": false,
+    "target": null,
+    "phase": null,
+    "agrees": true
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("spec", ["Z12", "Z4x" + "x".join(["Z3"] * 5)])
+def test_the_empty_set_commands_print_pinned_text(capsys, spec):
+    # Z4xZ3^5 has 366 power classes, so its class transform is the FFT
+    order = group(spec).order
+    assert run_cli(capsys, "spectrum", "-g", spec, "-c", "{}") == (0, EMPTY_SPECTRUM % (spec, order), "")
+    check = run_cli(capsys, "check", "-g", spec, "-c", "{}", "--cross-validate")
+    assert check == (0, EMPTY_CHECK % spec, "")
+
+
 def test_spectrum_non_integral_exits_1(capsys):
     code, _, err = run_cli(capsys, "spectrum", "-g", "Z12", "-c", "{1,11}")
     assert code == 1

@@ -303,7 +303,8 @@ def test_tables_are_built_only_when_read():
     c = ConnectionSet(g, frozenset({elem(g, 1, 0, 0, 0)}))
     # validation negates the set's own members and reads no table
     assert "class_id" not in vars(_tables(g))
-    integral_spectrum(g, ConnectionSet(g, frozenset()))
+    # the empty graph never moves: its walk row reads no table
+    walk.transition_amplitude(g, ConnectionSet(g, frozenset()), g.identity, g.identity, 1.0)
     assert "class_id" not in vars(_tables(g))
     assert is_power_closed(c)
     assert "class_id" in vars(_tables(g)) and "class_members" not in vars(_tables(g))

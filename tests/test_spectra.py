@@ -157,8 +157,18 @@ def test_delta_examples():
     assert delta(integral_spectrum(z2, cset(z2, [(1,)]))) == 2
     # a single distinct eigenvalue has no defined gap
     assert delta(integral_spectrum(z4, cset(z4, []))) is None
-    constant = Spectrum._from_values(group("Z3"), np.full(3, 3))
-    assert delta(constant) is None
+    # Z3's classes are {0} and {1, 2}
+    constant = Spectrum._from_classes(group("Z3"), np.full(2, 3), np.array([1, 2]))
+    assert constant.values.tolist() == [3, 3, 3] and delta(constant) is None
+
+
+@pytest.mark.parametrize("spec", ["Z12", "x".join(["Z2"] * 7), "Z5", "Z4x" + "x".join(["Z3"] * 5)])
+def test_the_empty_set_spectrum_is_held_per_class(spec):
+    # Z4xZ3^5 has 366 power classes, above MAX_CLASSES: its class transform is the FFT
+    g = group(spec)
+    spectrum = integral_spectrum(g, cset(g, []))
+    assert spectrum.eigenvalues == {0: g.order} and "values" not in vars(spectrum)
+    assert spectrum.values.tolist() == [0] * g.order and not spectrum.values.flags.writeable
 
 
 def test_odd_eigenvalue_exists():
@@ -257,8 +267,6 @@ def test_array_spectrum_matches_the_table(factors, seed):
     counts = Counter(sums)
     assert list(spectrum.eigenvalues.items()) == [(v, counts[v]) for v in sorted(counts, reverse=True)]
     assert all(type(v) is int for pair in spectrum.eigenvalues.items() for v in pair)
-    from_values = Spectrum._from_values(g, np.array(sums))
-    assert from_values == spectrum and from_values.eigenvalues == spectrum.eigenvalues
     gaps = [max(sums) - v for v in counts if v != max(sums)]
     assert delta(spectrum) == (math.gcd(*gaps) if gaps else None)
 
