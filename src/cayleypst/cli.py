@@ -1,9 +1,11 @@
 """Command-line surface: check, spectrum, walk, enumerate, classes, export.
 
-Every command is pure input to stdout (or --out file).  Exit codes: 0 on
-success, 1 on domain outcomes the user asked to treat as fatal (non-integral
-spectra, cross-validation mismatches, --fail-on-no-pst), 2 on input errors
-and on running out of memory.
+Every command is pure input to stdout (or --out file).  main parses the group
+and, for a command that reads one, the connection set; the command's handler
+only computes, and returns a JSON document or text pieces with its exit code,
+which main writes.  Exit codes: 0 on success, 1 on domain outcomes the user
+asked to treat as fatal (non-integral spectra, cross-validation mismatches,
+--fail-on-no-pst), 2 on input errors and on running out of memory.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .groups import (
     parse_connection_set,
     parse_element,
     parse_group,
-    power_class_indices,
 )
 from .jsonio import dumps  # noqa: F401  (unused: perfbench/tracer.py requires the cli.dumps site)
 from .jsonio import format_rows, pieces
@@ -85,13 +86,6 @@ def parse_time_literal(text: str) -> tuple[str, float]:
     return label, value
 
 
-def _group(args) -> AbelianGroup:
-    """The -g group, rejected up front when it is above the size cap."""
-    group = parse_group(args.group)
-    check_order(group)
-    return group
-
-
 def _load_connection_set(group: AbelianGroup, text: str) -> ConnectionSet:
     """Inline set literal, or @file pointing at a JSON array of coordinate tuples."""
     if text.startswith("@"):
@@ -129,9 +123,7 @@ def _emit(document: dict | Iterable[str], args) -> None:
         sys.stdout.writelines(text)
 
 
-def _cmd_check(args) -> int:
-    group = _group(args)
-    cset = _load_connection_set(group, args.connection_set)
+def _cmd_check(args, group: AbelianGroup, cset: ConnectionSet) -> tuple[dict, int]:
     report = characterize_pst(group, cset)
     document = {
         "group": str(group),
@@ -151,30 +143,21 @@ def _cmd_check(args) -> int:
             "phase": [detection.phase.real, detection.phase.imag] if fired else None,
             "agrees": cross_agrees,
         }
-    _emit(document, args)
-    if cross_agrees is False:
-        return 1
-    if args.fail_on_no_pst and report.verdict is not Verdict.PST:
-        return 1
-    return 0
+    failed = cross_agrees is False or (args.fail_on_no_pst and report.verdict is not Verdict.PST)
+    return document, int(failed)
 
 
-def _cmd_spectrum(args) -> int:
-    group = _group(args)
-    cset = _load_connection_set(group, args.connection_set)
+def _cmd_spectrum(args, group: AbelianGroup, cset: ConnectionSet) -> tuple[dict, int]:
     spectrum = integral_spectrum(group, cset)
     document = {
         "group": str(group),
         "connection_set": _coords_list(cset),
         "spectrum": spectrum.to_json_dict(),
     }
-    _emit(document, args)
-    return 0
+    return document, 0
 
 
-def _cmd_walk(args) -> int:
-    group = _group(args)
-    cset = _load_connection_set(group, args.connection_set)
+def _cmd_walk(args, group: AbelianGroup, cset: ConnectionSet) -> tuple[dict, int]:
     label, value = parse_time_literal(args.time)
     source = group.identity if args.source is None else parse_element(group, args.source)
     target = parse_element(group, args.target)
@@ -192,37 +175,31 @@ def _cmd_walk(args) -> int:
             "modulus": abs(amplitude),
         },
     }
-    _emit(document, args)
-    return 0
+    return document, 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args, group: AbelianGroup) -> tuple[dict, int]:
     """The census with each set's report; it always cross-validates, so "cross_validate" is true."""
-    group = _group(args)
     sets = enumerate_pst_sets(group)
     # a generator: each set's coordinates and report are made as its text is written
     entries = (
         {"connection_set": _coords_list(cset), "report": characterize_pst(group, cset).to_json_dict()}
         for cset in sets
     )
-    document = {"group": str(group), "cross_validate": True, "count": len(sets), "sets": entries}
-    _emit(document, args)
-    return 0
+    return {"group": str(group), "cross_validate": True, "count": len(sets), "sets": entries}, 0
 
 
-def _cmd_classes(args) -> int:
-    group = _group(args)
-    orders = _tables(group).class_order.tolist()
+def _cmd_classes(args, group: AbelianGroup) -> tuple[dict, int]:
+    tables = _tables(group)
+    orders = tables.class_order.tolist()
     # members are sorted by index, which is lexicographic coordinate order
-    rows = (_coordinate_rows(group, members) for members in power_class_indices(group))
+    rows = (_coordinate_rows(group, members) for members in tables.class_members)
     # a generator: each class's coordinates are made as its text is written
     classes = (
         {"key": coords[0].tolist(), "member_order": order, "size": len(coords), "elements": coords}
         for coords, order in zip(rows, orders)
     )
-    document = {"group": str(group), "count": len(orders), "classes": classes}
-    _emit(document, args)
-    return 0
+    return {"group": str(group), "count": len(orders), "classes": classes}, 0
 
 
 def _edges(group: AbelianGroup, cset: ConnectionSet) -> np.ndarray:
@@ -239,24 +216,18 @@ def _edges(group: AbelianGroup, cset: ConnectionSet) -> np.ndarray:
     return np.stack((sources, neighbours[sources, slots]), axis=-1)
 
 
-def _cmd_export(args) -> int:
-    group = _group(args)
-    cset = _load_connection_set(group, args.connection_set)
+def _cmd_export(args, group: AbelianGroup, cset: ConnectionSet) -> tuple[dict | Iterable[str], int]:
     if args.format == "adjacency":
         # an int8 indicator gathered through the index table: no float |G| x |G| matrix
         adjacency = _indicator(group, cset).astype(np.int8)[_difference_index(group)]
-        _emit(format_rows(adjacency, " ".join(["%d"] * group.order) + "\n", ""), args)
-        return 0
+        return format_rows(adjacency, " ".join(["%d"] * group.order) + "\n", ""), 0
     # the coordinates of both ends of every edge, shape (edges, 2, rank)
     ends = _coordinate_rows(group, _edges(group, cset))
     if args.format == "dot":
         label = "(" + ",".join(["%d"] * group.rank) + ")"
         line = f'  "{label}" -- "{label}";'
-        _emit(chain(("graph cayley {\n",), format_rows(ends, line + "\n", ""), ("}\n",)), args)
-        return 0
-    document = {"group": str(group), "set": _coords_list(cset), "edges": ends}
-    _emit(document, args)
-    return 0
+        return chain(("graph cayley {\n",), format_rows(ends, line + "\n", ""), ("}\n",)), 0
+    return {"group": str(group), "set": _coords_list(cset), "edges": ends}, 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -325,7 +296,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(args)
+        # the inputs in order: the group, its set, then what the handler parses
+        group = parse_group(args.group)
+        check_order(group)
+        inputs = [group]
+        if "connection_set" in args:
+            inputs.append(_load_connection_set(group, args.connection_set))
+        document, code = args.handler(args, *inputs)
+        _emit(document, args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -339,7 +317,7 @@ def main(argv=None) -> int:
     except CrossValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

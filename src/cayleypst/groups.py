@@ -218,7 +218,10 @@ class GroupElement:
 
     @property
     def order(self) -> int:
-        return _element_order(self)
+        result = 1
+        for c, n in zip(self.coords, self.group.factors):
+            result = math.lcm(result, n // math.gcd(n, c))
+        return result
 
 
 def _coordinate(group: AbelianGroup, position: int, value) -> int:
@@ -253,9 +256,9 @@ def _require_bound_set(group: AbelianGroup, connection_set: ConnectionSet) -> No
 
 
 def check_order(group: AbelianGroup) -> None:
-    """Raise ValueError when the group is too large for index tables (MAX_ORDER)."""
+    """Raise CapExceededError when the group is too large for index tables (MAX_ORDER)."""
     if group.order > MAX_ORDER:
-        raise ValueError(
+        raise CapExceededError(
             f"{group} has {group.order} elements, above the cap of {MAX_ORDER} "
             "(cayleypst.groups.MAX_ORDER)"
         )
@@ -277,17 +280,10 @@ def _canonical_elements(group: AbelianGroup) -> Iterator[GroupElement]:
     )
 
 
-def _element_order(g: GroupElement) -> int:
-    result = 1
-    for c, n in zip(g.coords, g.group.factors):
-        result = math.lcm(result, n // math.gcd(n, c))
-    return result
-
-
 def element_order(group: AbelianGroup, g: GroupElement) -> int:
     """Least positive k with k*g = identity (lcm of coordinate orders)."""
     _require_bound(group, g)
-    return _element_order(g)
+    return g.order
 
 
 def sylow2_cyclic(group: AbelianGroup) -> bool:
@@ -664,14 +660,9 @@ def power_class_key(cls: Iterable[GroupElement]) -> tuple[int, ...]:
     return min(g.coords for g in cls)
 
 
-def power_class_indices(group: AbelianGroup) -> tuple[np.ndarray, ...]:
-    """Sorted member indices of each power class, in list_power_classes order."""
-    return _tables(group).class_members
-
-
 def list_power_classes(group: AbelianGroup) -> list[frozenset[GroupElement]]:
     """Partition of the group into power classes, sorted by (element order, key)."""
-    return [frozenset(_elements_at(group, members)) for members in power_class_indices(group)]
+    return [frozenset(_elements_at(group, members)) for members in _tables(group).class_members]
 
 
 def is_power_closed(connection_set) -> bool:

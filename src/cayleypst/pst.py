@@ -30,7 +30,6 @@ from .groups import (
     _tables,
     _valuations,
     is_power_closed,
-    power_class_indices,
     subgroup_4m,
     sylow2_cyclic,
     two_part,
@@ -381,7 +380,7 @@ def enumerate_pst_sets(group: AbelianGroup) -> list[ConnectionSet]:
     # the identity is power class 0, never chosen: bit i of candidate n marks class i + 1
     total = 1 << (count - 1)
     # a class's key is its least member's index
-    keys = [int(members[0]) for members in power_class_indices(group)]
+    keys = tables.class_reps.tolist()
     found: list[tuple[int, tuple, ConnectionSet]] = []
     for start in range(0, total, _CANDIDATE_BLOCK):
         numbers = np.arange(start, min(start + _CANDIDATE_BLOCK, total))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .groups import (
     AbelianGroup,
-    CapExceededError,  # noqa: F401  (re-exported: one class for every size cap)
+    CapExceededError,
     ConnectionSet,
     GroupElement,
     _IndexTables,

@@ -21,6 +21,14 @@ def small_groups(max_order):
     return found
 
 
+def test_each_class_rep_is_the_least_member_of_its_class():
+    # the census sorts its sets by these keys: index order is coordinate order
+    wide = [group("x".join(["Z2"] * 9)), group("Z4x" + "x".join(["Z3"] * 5))]
+    for g in small_groups(128) + wide:
+        tables = _tables(g)
+        assert tables.class_reps.tolist() == [int(m[0]) for m in tables.class_members], g
+
+
 def brute_odd_cyclic_subgroups(g):
     """The cyclic subgroups of the odd-order part of g, by generating each one."""
     odd = [x for x in g.elements() if x.order % 2]

@@ -323,6 +323,19 @@ def test_non_finite_times_exit_2_with_one_line(capsys, time):
         assert err == f"error: bad time literal {time!r}; the time must be a finite float\n"
 
 
+@pytest.mark.parametrize(
+    "spec, literal, message",
+    [
+        ("Z0", "{bad", "cyclic factor orders must be >= 2, got Z0"),
+        ("Z4", "{bad", "set literal must be brace-wrapped, got '{bad'"),
+        ("Z4", "{1,3}", "bad time literal 'nan'; the time must be a finite float"),
+    ],
+)
+def test_inputs_are_checked_group_then_set_then_time(capsys, spec, literal, message):
+    argv = ("walk", "-g", spec, "-c", literal, "-t", "nan", "--target", "1")
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_missing_set_file_exits_2(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "check", "-g", "Z4", "-c", f"@{tmp_path}/absent.json")
     assert code == 2

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cayleypst import (
     AbelianGroup,
+    CapExceededError,
     ConnectionSet,
     GroupMismatchError,
     characterize_pst,
@@ -290,11 +291,15 @@ def test_binding_check_is_shared():
 
 
 def test_index_tables_refuse_groups_above_the_cap():
+    # the one exception of every size cap, a ValueError, so the CLI exits 2
     huge = AbelianGroup((MAX_ORDER + 1,))
-    with pytest.raises(ValueError, match=str(MAX_ORDER)):
+    message = f"Z{MAX_ORDER + 1} has {MAX_ORDER + 1} elements, above the cap of {MAX_ORDER} "
+    with pytest.raises(CapExceededError, match=message):
         _tables(huge)
-    with pytest.raises(ValueError, match=str(MAX_ORDER)):
+    with pytest.raises(CapExceededError, match=message):
         ConnectionSet(huge, frozenset({huge.element([1]), huge.element([-1])}))
+    with pytest.raises(CapExceededError, match=message):
+        ConnectionSet.from_coordinates(huge, [[1], [MAX_ORDER]])
 
 
 def test_tables_are_built_only_when_read():
