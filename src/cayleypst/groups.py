@@ -291,21 +291,21 @@ def sylow2_cyclic(group: AbelianGroup) -> bool:
     return sum(1 for n in group.factors if n % 2 == 0) <= 1
 
 
-def _even_factor_index(group: AbelianGroup) -> int:
+def _even_axis(group: AbelianGroup) -> tuple[int, int, int]:
+    """Position, order n and place value p of the one even factor Z_n: a is n/2 * p, b is n/4 * p."""
     evens = [i for i, n in enumerate(group.factors) if n % 2 == 0]
     if len(evens) != 1:
         raise ValueError(f"{group} does not have exactly one even factor")
-    return evens[0]
+    j = evens[0]
+    return j, group.factors[j], math.prod(group.factors[j + 1 :])
 
 
 def unique_involution(group: AbelianGroup) -> GroupElement:
     """The single element of order two (needs cyclic Sylow-2 and even order)."""
     if not sylow2_cyclic(group) or group.d < 1:
         raise ValueError(f"{group} has no unique element of order two")
-    j = _even_factor_index(group)
-    coords = [0] * group.rank
-    coords[j] = group.factors[j] // 2
-    return GroupElement(group, tuple(coords))
+    _, n, place = _even_axis(group)
+    return group.element_at(n // 2 * place)
 
 
 def order_four_pair(group: AbelianGroup) -> tuple[GroupElement, GroupElement]:
@@ -315,14 +315,8 @@ def order_four_pair(group: AbelianGroup) -> tuple[GroupElement, GroupElement]:
     """
     if not sylow2_cyclic(group) or group.d < 2:
         raise ValueError(f"{group} has no unique pair of elements of order four")
-    j = _even_factor_index(group)
-    quarter = group.factors[j] // 4
-    coords = [0] * group.rank
-    coords[j] = quarter
-    first = GroupElement(group, tuple(coords))
-    coords[j] = 3 * quarter
-    second = GroupElement(group, tuple(coords))
-    return first, second
+    _, n, place = _even_axis(group)
+    return group.element_at(n // 4 * place), group.element_at(3 * n // 4 * place)
 
 
 def _odd_component_multiplier(group: AbelianGroup) -> int:
@@ -393,13 +387,15 @@ def _multiples(group: AbelianGroup, k: int, indices: np.ndarray) -> np.ndarray:
     return places.ravel() @ (indices // places * (k % group.order) % factors)
 
 
-def _multiple_table(group: AbelianGroup, k: int) -> np.ndarray:
+def _multiple_table(group: AbelianGroup, k: int, dtype=np.intp) -> np.ndarray:
     """Canonical index of k*g for every element g: an outer sum of one column per factor."""
     table = None
     for n in group.factors:
-        column = np.arange(n)
-        column *= k % n
-        column %= n
+        column = np.empty(n, dtype)
+        # k*i mod n in int64 for 2^14 values of i at a time: no int64 copy of a long column
+        for start in range(0, n, 1 << 14):
+            product = np.arange(start, min(start + (1 << 14), n)) * (k % n)
+            np.remainder(product, n, out=column[start : start + (1 << 14)])
         if table is not None:
             table *= n
             column = np.add.outer(table, column).ravel()
@@ -464,36 +460,36 @@ class _IndexTables:
         # Per generating unit u, a min-label pass over the maps by u, u^2,
         # u^4, ... covers every cycle, so each element ends up labelled with
         # the least index of its class.  A small group composes each map
-        # from the last, in fewer numpy calls; a big one builds each afresh
-        # and overwrites it with the labels it gathers, two |G| arrays at a time.
+        # from the last, in fewer numpy calls; a big one builds each afresh,
+        # in int32 (every index is below MAX_ORDER), three |G| arrays at a time.
         group = self.group
         exponent = math.lcm(*group.factors)
-        label = np.arange(group.order)
+        small = group.order <= 1 << 12
+        label = np.arange(group.order, dtype=np.intp if small else np.int32)
         for unit, unit_order in _unit_generators(exponent):
             rounds = (unit_order - 1).bit_length()
-            if group.order <= 1 << 12:
+            if small:
                 step = _multiple_table(group, unit)
                 for _ in range(rounds):
                     np.minimum(label, label[step], out=label)
                     step = step[step]
                 continue
             for _ in range(rounds):
-                gathered = _multiple_table(group, unit)
-                # take reads each index before it writes that place
-                np.take(label, gathered, out=gathered, mode="clip")
-                np.minimum(label, gathered, out=label)
-                del gathered
+                # label[map] gathers with the int32 map itself; np.take would copy it to intp
+                np.minimum(label, label[_multiple_table(group, unit, np.int32)], out=label)
                 unit = unit * unit % exponent
         # the least member of each class is its key, and every label is a key
-        lookup = np.zeros(group.order, dtype=np.intp)
-        lookup[label] = 1
+        lookup = np.zeros(group.order, dtype=bool)
+        lookup[label] = True
         keys = np.flatnonzero(lookup)
         orders = _orders(group, keys)
         by_order = np.lexsort((keys, orders))
         reps = keys[by_order]
-        # each key's class number at the key's index, then each label's in place
+        # each key's class number at the key's index, then at each label, over the label: freed
+        # temporaries as wide as the labels leave the heap, where narrow ones would stay in it
+        lookup = np.zeros(group.order, dtype=label.dtype)
         lookup[reps] = np.arange(len(keys))
-        np.take(lookup, label, out=label, mode="clip")
+        label[...] = lookup[label]
         ids = label.astype(np.min_scalar_type(len(keys) - 1))
         return _frozen(ids), _frozen(reps), _frozen(orders[by_order])
 
@@ -593,9 +589,9 @@ class _IndexTables:
 
     @cached_property
     def transfer_indices(self) -> tuple[int, int, int]:
-        """Indices of the involution a and of the order-four pair b, -b."""
-        special = (self.transfer_pair[1], *order_four_pair(self.group))
-        return tuple(self.group.index_of(g) for g in special)
+        """Indices of the involution a and of the order-four pair b, -b (the pair only if 4 | |G|)."""
+        _, n, place = _even_axis(self.group)
+        return n // 2 * place, n // 4 * place, 3 * n // 4 * place
 
     @cached_property
     def transfer_classes(self) -> tuple[int, int]:
@@ -739,22 +735,21 @@ class ConnectionSet:
     """Validated inverse-closed, identity-free subset of one group.
 
     `indices` is the sorted, read-only array of the members' canonical
-    indices; `elements`, the frozenset of members, is built from it on first
-    use.  `loops_allowed` records that the identity was present in the raw
-    input and stripped (a loop at every vertex, which never affects
-    transfer).  The mask of the power classes it meets is also kept once
-    read, and so is whether the set is power-closed: the spectrum, the walk
-    and the structural conditions all start from them.  So are its exact
-    class spectrum (spectra._class_spectrum) and its character sums, once
-    the FFT has computed them (spectra._character_sums).  Every kept array
-    owns its data.
+    indices, and membership searches it; `elements`, the frozenset of
+    members, is built on each read.  `loops_allowed` records that the
+    identity was present in the raw input and stripped (a loop at every
+    vertex, which never affects transfer).  The mask of the power classes
+    it meets is also kept once read, and so is whether the set is
+    power-closed: the spectrum, the walk and the structural conditions all
+    start from them.  So are its exact class spectrum
+    (spectra._class_spectrum) and its character sums, once the FFT has
+    computed them (spectra._character_sums).  Every kept array owns its data.
     """
 
     __slots__ = (
         "group",
         "indices",
         "loops_allowed",
-        "_elements",
         "_class_mask",
         "_power_closed",
         "_class_spectrum",
@@ -811,7 +806,6 @@ class ConnectionSet:
         store(self, "group", group)
         store(self, "indices", _frozen(indices))
         store(self, "loops_allowed", loops_allowed)
-        store(self, "_elements", None)
         store(self, "_class_mask", class_mask)
         store(self, "_power_closed", power_closed)
         store(self, "_class_spectrum", class_spectrum)
@@ -859,9 +853,7 @@ class ConnectionSet:
 
     @property
     def elements(self) -> frozenset[GroupElement]:
-        if self._elements is None:
-            object.__setattr__(self, "_elements", frozenset(self.sorted_elements()))
-        return self._elements
+        return frozenset(self.sorted_elements())
 
     def __iter__(self) -> Iterator[GroupElement]:
         return iter(self.sorted_elements())
@@ -869,8 +861,12 @@ class ConnectionSet:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __contains__(self, g: GroupElement) -> bool:
-        return g in self.elements
+    def __contains__(self, g) -> bool:
+        if not isinstance(g, GroupElement) or g.group != self.group:
+            return False
+        index = self.group.index_of(g)
+        at = self.indices.searchsorted(index)
+        return at < len(self.indices) and self.indices[at] == index
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConnectionSet):
@@ -933,7 +929,7 @@ def subgroup_4m(group: AbelianGroup) -> Subgroup4m:
     """Embedding of the unique subgroup of order 4m (requires d >= 2)."""
     if not sylow2_cyclic(group) or group.d < 2:
         raise ValueError(f"{group} has no subgroup of order 4m with m odd and d >= 2")
-    j = _even_factor_index(group)
+    j = _even_axis(group)[0]
     scale = 1 << (group.d - 2)
     sub_factors = list(group.factors)
     sub_factors[j] //= scale

@@ -23,7 +23,7 @@ from .groups import (
     GroupElement,
     _class_mask,
     _divisor_functions,
-    _even_factor_index,
+    _even_axis,
     _multiples,
     _odd_component_multiplier,
     _require_bound_set,
@@ -203,14 +203,13 @@ def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstR
             ("a Cayley graph of an odd-order group never admits perfect state transfer",),
         )
     if group.d == 1:
-        involution = tables.transfer_pair[1]
-        if connection_set.indices.tolist() == [group.index_of(involution)]:
+        if connection_set.indices.tolist() == [tables.transfer_indices[0]]:
             return _positive(tables, {"matching_case": True})
         return _negative(
             {"matching_case": False},
             (
                 "for groups of order 2m with m odd, only the perfect matching "
-                f"C = {{{involution}}} admits transfer",
+                f"C = {{{tables.transfer_pair[1]}}} admits transfer",
             ),
         )
     return _decided(tables, _member_conditions(tables, connection_set))
@@ -254,12 +253,12 @@ def reduce_to_4m(
     """
     _require_bound_set(group, connection_set)
     embedding = subgroup_4m(group)
-    inner, scale = math.prod(group.factors[embedding.even_index + 1 :]), embedding.scale
-    # an index is low + inner * high with low < inner; high, whose last place is the
+    place, scale = _even_axis(group)[2], embedding.scale
+    # an index is low + place * high with low < place; high, whose last place is the
     # even coordinate, is a multiple of scale exactly on a member, and high / scale relabels it
-    high, low = np.divmod(connection_set.indices, inner)
+    high, low = np.divmod(connection_set.indices, place)
     member = high % scale == 0
-    kept = high[member] // scale * inner + low[member]
+    kept = high[member] // scale * place + low[member]
     return embedding.group, ConnectionSet._from_indices(embedding.group, kept)
 
 
@@ -281,17 +280,16 @@ def character_criterion(group: AbelianGroup, connection_set: ConnectionSet) -> b
     values, characters = per_class.astype(np.int64), _tables(group).class_reps
     if group.d == 0:
         return False
-    even = _even_factor_index(group)  # ValueError unless the Sylow-2-subgroup is cyclic
+    _, n, place = _even_axis(group)  # ValueError unless the Sylow-2-subgroup is cyclic
     # a is n/2 on the even factor Z_n and 0 elsewhere, so chi_j(a) = (-1)**j_e, with
     # j_e the character's coordinate on that factor; units are odd and n is even,
     # so j_e has one parity across a dual power class
-    n, inner = group.factors[even], math.prod(group.factors[even + 1 :])
     gap = int(np.gcd.reduce(values.max() - values))
     if not gap:
         return False
     # |C| is the top eigenvalue, so the gap divides every |C| - chi(C)
     steps = (len(connection_set) - values) // gap
-    return bool((steps % 2 == characters // inner % n % 2).all())
+    return bool((steps % 2 == characters // place % n % 2).all())
 
 
 @dataclass(frozen=True)

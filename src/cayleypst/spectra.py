@@ -152,22 +152,23 @@ def _class_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> np.nd
 class Spectrum:
     """Exact integer eigenvalues of an integral translation graph.
 
-    Every spectrum, the empty set's too, holds only the eigenvalue and the
-    size of each dual power class.  `values`, the read-only int64 array of
+    Every spectrum, the empty set's too, holds only the eigenvalue of each
+    dual power class; equal groups have one class partition, so two spectra
+    are equal when those are.  `values`, the read-only int64 array of
     eigenvalues in canonical character order, spreads them over the
-    characters when first read; `eigenvalues`, the multiset keyed by value
-    in descending order, is counted from the class sizes, so neither it nor
-    `to_json_dict` ever spreads them.
+    characters on each read and is not kept; `eigenvalues`, the multiset
+    keyed by value in descending order, is counted from the group's class
+    sizes, so neither it nor `to_json_dict` ever spreads them.
     """
 
     def __init__(self) -> None:
         raise TypeError("a Spectrum comes from integral_spectrum; it has no public constructor")
 
     @classmethod
-    def _from_classes(cls, group: AbelianGroup, values: np.ndarray, sizes: np.ndarray) -> Spectrum:
-        """The spectrum whose dual power classes, of these sizes, have these int64 eigenvalues."""
+    def _from_classes(cls, group: AbelianGroup, values: np.ndarray) -> Spectrum:
+        """The spectrum whose dual power classes have these int64 eigenvalues."""
         spectrum = cls.__new__(cls)
-        spectrum.__dict__.update(group=group, _classes=(_frozen(values), sizes))
+        spectrum.__dict__.update(group=group, _per_class=_frozen(values))
         return spectrum
 
     def __setattr__(self, name, value) -> None:
@@ -176,22 +177,20 @@ class Spectrum:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return self.group == other.group and np.array_equal(self.values, other.values)
+        return self.group == other.group and np.array_equal(self._per_class, other._per_class)
 
     def __repr__(self) -> str:
         return f"Spectrum({self.eigenvalues}@{self.group})"
 
-    @cached_property
+    @property
     def values(self) -> np.ndarray:
-        per_class, _ = self._classes
-        return _frozen(per_class[_tables(self.group).class_id])
+        return _frozen(self._per_class[_tables(self.group).class_id])
 
     @cached_property
     def eigenvalues(self) -> dict[int, int]:
-        per_class, sizes = self._classes
-        distinct, which = np.unique(per_class, return_inverse=True)
+        distinct, which = np.unique(self._per_class, return_inverse=True)
         # the sizes sum to |G|, well inside float64's exact integers
-        counts = np.bincount(which, weights=sizes).astype(np.int64)
+        counts = np.bincount(which, weights=_tables(self.group).class_size).astype(np.int64)
         return dict(zip(distinct[::-1].tolist(), counts[::-1].tolist()))
 
     @property
@@ -227,7 +226,7 @@ def integral_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> Spe
     _require_bound_set(group, connection_set)
     per_class = _class_spectrum(group, connection_set)
     if per_class is not None:
-        return Spectrum._from_classes(group, per_class.astype(np.int64), _tables(group).class_size)
+        return Spectrum._from_classes(group, per_class.astype(np.int64))
     sums = _character_sums(connection_set)
     residual = np.abs(sums - np.rint(sums.real))
     off = residual > INTEGRALITY_TOL

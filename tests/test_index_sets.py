@@ -1,6 +1,7 @@
 """Index-backed connection sets and per-group index tables against element-wise definitions."""
 
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -244,7 +245,16 @@ def test_index_helpers_match_elementwise_arithmetic(spec):
     assert not _tables(g).class_id.flags.writeable
 
 
-def test_connection_set_is_read_only_and_hashable():
+def refuse(monkeypatch, name):
+    """Make groups.<name> raise, so that a test shows a step never calls it."""
+
+    def refused(*args):
+        raise AssertionError(f"groups.{name} was called")
+
+    monkeypatch.setattr(groups, name, refused)
+
+
+def test_connection_set_is_read_only_and_hashable(monkeypatch):
     z12 = group("Z12")
     c = ConnectionSet(z12, frozenset({elem(z12, 2), elem(z12, 10)}))
     with pytest.raises(ValueError):
@@ -257,9 +267,10 @@ def test_connection_set_is_read_only_and_hashable():
     assert c != looped
     assert c != ConnectionSet(group("Z4xZ3"), frozenset())
     # pickle and copy rebuild from the indices, validated again: no element is made
+    refuse(monkeypatch, "_element")
     for copied in (pickle.loads(pickle.dumps(looped)), copy.deepcopy(looped)):
-        assert copied == looped and copied.loops_allowed and copied._elements is None
-    assert looped._elements is None and copy.copy(c) == c
+        assert copied == looped and copied.loops_allowed
+    assert copy.copy(c) == c
 
 
 def test_validation_messages_are_kept():
@@ -344,9 +355,10 @@ def test_a_check_keeps_no_element_table_but_the_class_ids(spec, text, power_clos
 
 
 # The class-route build's peak, in |G|-length int64 arrays above its start:
-# the labels and one multiplication map in the label pass, then the labels
-# and the class ids.  The bound leaves half an array for temporaries.
-CLASS_BUILD_ARRAYS = 2.5
+# above 4096 elements the labels, one multiplication map and its gather, all
+# int32 (1.5 arrays), and a block of 2^14 int64 products while a map is built
+# (a quarter array on Z65536), 1.75 in all.  The bound leaves a quarter array.
+CLASS_BUILD_ARRAYS = 2.0
 
 
 def test_the_class_route_build_peaks_at_two_element_arrays():
@@ -364,13 +376,14 @@ def test_the_class_route_build_peaks_at_two_element_arrays():
     assert element_arrays(_tables(g)) == ["class_id"]
 
 
-def test_sets_from_class_indices_build_no_elements_until_read():
+def test_sets_from_class_indices_build_no_elements_until_read(monkeypatch):
     g = group("Z8xZ3")
+    # the census makes the transfer pair and each detection's target, but no set's members
+    refuse(monkeypatch, "_elements_at")
     found = enumerate_pst_sets(g)
     assert len(found) == 16
-    assert all(c._elements is None for c in found)
     assert characterize_pst(g, found[0]).verdict.value == "PST"
-    assert found[0]._elements is None
+    monkeypatch.undo()
     assert len(found[0].elements) == len(found[0])
 
 
@@ -425,11 +438,111 @@ def test_sets_from_coordinates_match_the_frozenset_route(case, strip_identity):
         assert built == expected
 
 
-def test_sets_from_elements_build_no_elements_until_read():
+def test_sets_from_elements_build_no_elements_until_read(monkeypatch):
     g = group("Z4xZ3")
-    c = ConnectionSet.from_elements(g, [g.identity, elem(g, 1, 1), elem(g, 3, 2), elem(g, 1, 1)])
-    assert c._elements is None
+    raw = [g.identity, elem(g, 1, 1), elem(g, 3, 2), elem(g, 1, 1)]
+    refuse(monkeypatch, "_element")
+    c = ConnectionSet.from_elements(g, raw)
     assert c.indices.tolist() == [4, 11] and c.loops_allowed is True
+    # membership is a search of the indices: it makes no element either
+    assert raw[1] in c and raw[0] not in c
+    monkeypatch.undo()
     assert c.elements == {elem(g, 1, 1), elem(g, 3, 2)}
     with pytest.raises(GroupMismatchError, match=r"element \(0\)@Z5 is not bound to Z4xZ3"):
         ConnectionSet.from_elements(g, [group("Z5").identity])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_membership_is_frozenset_membership(data):
+    g = data.draw(factor_lists(48))
+    picked = data.draw(st.sets(st.integers(1, g.order - 1), max_size=g.order))
+    members = frozenset(g.element_at(i) for i in picked)
+    c = ConnectionSet(g, members | {-x for x in members})
+    # an equal group built again, a wider one, one of another order, and non-elements
+    others = [g, AbelianGroup(g.factors), AbelianGroup((*g.factors, 2)), AbelianGroup((g.order + 1,))]
+    probes = st.one_of(
+        st.sampled_from(others).flatmap(lambda h: st.integers(0, h.order - 1).map(h.element_at)),
+        st.tuples(*(st.integers(0, n - 1) for n in g.factors)),
+        st.none() | st.integers() | st.text(max_size=3) | st.just(c),
+    )
+    for probe in data.draw(st.lists(probes, max_size=20)):
+        assert (probe in c) is (probe in c.elements)
+        assert probe not in ConnectionSet(g, frozenset())
+
+
+def test_membership_and_spectrum_equality_keep_no_element_array():
+    g = group("Z1048576")
+    # the 524,288 odd elements: the generators of the group, one power class
+    c = ConnectionSet.from_coordinates(g, np.arange(1, g.order, 2)[:, None])
+    first, second = integral_spectrum(g, c), integral_spectrum(g, copy.copy(c))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert g.element_at(12345) in c and g.element_at(2) not in c
+        member_peak = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+        assert first == second
+        equal_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # a uint8 array over the group would be 1 MB, and the members as elements 132 MB
+    assert member_peak < 1 << 20 and equal_peak < 1 << 20, (member_peak, equal_peak)
+
+
+def all_factor_lists(limit, prefix=()):
+    """Every list of cyclic factors, each >= 2 and in any order, whose product is at most limit."""
+    for n in range(2, limit // math.prod(prefix) + 1):
+        yield prefix + (n,)
+        yield from all_factor_lists(limit, prefix + (n,))
+
+
+def check_transfer_elements(g):
+    """The involution and the order-four pair, and their indices, against the elements' orders.
+
+    Every element of order 2 or 4 is killed by 4, and those of Z_n are the
+    multiples of n / gcd(n, 4), so they are listed in canonical order here.
+    """
+    killed_by_4 = itertools.product(*(range(0, n, n // math.gcd(n, 4)) for n in g.factors))
+    by_order = {2: [], 4: []}
+    for x in map(g.element, killed_by_4):
+        by_order.get(x.order, []).append(x)
+    involutions, order_four = by_order[2], by_order[4]
+    if len(involutions) != 1:
+        with pytest.raises(ValueError):
+            groups.unique_involution(g)
+        with pytest.raises(ValueError):
+            _tables(g).transfer_indices
+        return
+    indices = _tables(g).transfer_indices
+    assert groups.unique_involution(g) == involutions[0]
+    assert indices[0] == g.index_of(involutions[0])
+    if len(order_four) != 2:
+        with pytest.raises(ValueError):
+            groups.order_four_pair(g)
+        return
+    assert list(groups.order_four_pair(g)) == order_four
+    assert list(indices[1:]) == [g.index_of(x) for x in order_four]
+
+
+def test_transfer_indices_are_the_transfer_elements():
+    small = [f for f in all_factor_lists(128) if sum(n % 2 == 0 for n in f) <= 1]
+    assert len(small) == 601
+    for factors in [*small, (4194304,), (2, 2097152)]:
+        check_transfer_elements(AbelianGroup(factors))
+
+
+@pytest.mark.parametrize("spec", ["Z255255", "Z4xZ3xZ5xZ7xZ11", "Z9xZ3xZ5xZ49"])
+def test_class_ids_above_4096_elements_are_the_unit_orbits(spec):
+    # above 4096 elements the maps are int32: on Z255255 some k * i is above 2^31, and its
+    # factor is no power of 2, so a product that wrapped would show
+    g = group(spec)
+    tables, everything, exponent = _tables(g), np.arange(g.order), math.lcm(*g.factors)
+    for unit, _ in _unit_generators(exponent):
+        assert np.array_equal(tables.class_id[groups._multiples(g, unit, everything)], tables.class_id)
+    # an orbit of an element of order m has phi(m) members, so no two orbits share an id
+    divisors, _, phi = groups._divisor_functions(exponent)
+    totient = dict(zip(divisors.tolist(), phi.tolist()))
+    assert tables.class_size.tolist() == [totient[m] for m in tables.class_order.tolist()]
+    assert (tables.class_reps[tables.class_id] <= everything).all()
+    assert tables.class_id[tables.class_reps].tolist() == list(range(len(tables.class_reps)))

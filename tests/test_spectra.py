@@ -158,7 +158,7 @@ def test_delta_examples():
     # a single distinct eigenvalue has no defined gap
     assert delta(integral_spectrum(z4, cset(z4, []))) is None
     # Z3's classes are {0} and {1, 2}
-    constant = Spectrum._from_classes(group("Z3"), np.full(2, 3), np.array([1, 2]))
+    constant = Spectrum._from_classes(group("Z3"), np.full(2, 3))
     assert constant.values.tolist() == [3, 3, 3] and delta(constant) is None
 
 
