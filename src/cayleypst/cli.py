@@ -94,7 +94,7 @@ def _load_connection_set(group: AbelianGroup, text: str) -> ConnectionSet:
         except RecursionError:
             raise ValueError(f"connection-set file {text[1:]} nests too deeply") from None
         if isinstance(payload, dict):
-            payload = payload.get("set", payload.get("elements"))
+            payload = payload.get("set")
         if not isinstance(payload, list):
             raise ValueError(
                 "connection-set file must hold a JSON array of coordinate tuples "

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -304,9 +304,6 @@ class ParityReport:
     @property
     def all_hold(self) -> bool:
         return self.c0_even and self.c2_even and self.c1_odd_iff_a and self.c2_div4_iff_no_b
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def parity_report(group: AbelianGroup, connection_set: ConnectionSet) -> ParityReport:

@@ -125,11 +125,6 @@ class TransitionMatrix:
     def __post_init__(self) -> None:
         self.entries.setflags(write=False)
 
-    def amplitude(self, source: GroupElement, target: GroupElement) -> complex:
-        gi = self.group.index_of(source)
-        hi = self.group.index_of(target)
-        return complex(self.entries[gi, hi])
-
     def to_json_dict(self) -> dict:
         return {
             "time": self.time,

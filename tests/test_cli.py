@@ -352,6 +352,16 @@ def test_set_file_rejects_non_integer_coordinates(capsys, tmp_path, payload):
     assert err.count("\n") == 1
 
 
+def test_a_set_file_object_without_the_set_key_exits_2(capsys, tmp_path):
+    setfile = tmp_path / "set.json"
+    setfile.write_text(json.dumps({"elements": [[1], [7]]}))
+    code, out, err = run_cli(capsys, "check", "-g", "Z8", "-c", f"@{setfile}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: connection-set file must hold a JSON array")
+    assert err.count("\n") == 1
+
+
 def test_a_deeply_nested_set_file_is_one_line_exit_2(capsys, tmp_path):
     setfile = tmp_path / "deep.json"
     setfile.write_text("[" * 100000 + "]" * 100000)

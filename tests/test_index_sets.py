@@ -326,6 +326,16 @@ def test_tables_are_built_only_when_read():
     assert "class_id" in vars(_tables(g)) and "class_members" not in vars(_tables(g))
 
 
+def test_the_empty_set_scans_build_no_class_ids():
+    _tables.cache_clear()
+    g = group("Z1048576")
+    empty = ConnectionSet(g, frozenset())
+    # the empty graph never moves: both scans read the identity row, built without tables
+    assert walk.detect_pst_numeric(g, empty, math.pi / 2) is None
+    assert walk.is_periodic_numeric(g, empty, math.pi / 2)
+    assert "class_id" not in vars(_tables(g))
+
+
 def element_arrays(tables):
     """Names of the arrays kept on a group's tables with one entry per element."""
     return sorted(
