@@ -938,6 +938,15 @@ def subgroup_4m(group: AbelianGroup) -> Subgroup4m:
 
 _FACTOR_RE = re.compile(r"[Zz]([0-9]+)")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+# whitespace around a separator is padding; whitespace inside a token is an error
+_PADDING_RE = re.compile(r"\s*([xX(),{}])\s*")
+# a comma outside parentheses separates two entries of a set literal
+_ENTRY_COMMA_RE = re.compile(r",(?![^(]*\))")
+
+
+def _unpadded(text: str) -> str:
+    """Text with whitespace stripped at the ends and where it pads a separator."""
+    return _PADDING_RE.sub(r"\1", text.strip())
 
 
 def _parse_integer(text: str) -> int:
@@ -951,10 +960,11 @@ def _parse_integer(text: str) -> int:
 def parse_group(text: str) -> AbelianGroup:
     """Parse a group written as Z<n> factors joined by 'x', e.g. 'Z4xZ3xZ3'.
 
-    Case-insensitive and whitespace-tolerant; every factor must be >= 2.
-    Groups are immutable, so one text always gives the same cached group.
+    Case-insensitive; whitespace may pad the ends and each 'x', but may not
+    split a factor ('Z1 6' is refused).  Every factor must be >= 2.  Groups
+    are immutable, so one text always gives the same cached group.
     """
-    compact = re.sub(r"\s+", "", text)
+    compact = _unpadded(text)
     if not compact:
         raise ValueError("empty group specification")
     factors = []
@@ -969,57 +979,34 @@ def parse_group(text: str) -> AbelianGroup:
     return AbelianGroup(tuple(factors))
 
 
-def parse_element(group: AbelianGroup, text: str) -> GroupElement:
-    """Parse '(2,0,0)' (or a bare integer for single-factor groups)."""
-    compact = re.sub(r"\s+", "", text)
+def _literal_row(group: AbelianGroup, text: str) -> list[int]:
+    """The integers of one unpadded element literal, of length group.rank."""
     try:
-        if compact.startswith("(") and compact.endswith(")"):
-            inner = compact[1:-1]
-            if not inner:
-                raise ValueError("empty tuple")
-            return group.element(_parse_integer(p) for p in inner.split(","))
-        if group.rank == 1:
-            return group.element([_parse_integer(compact)])
+        if text.startswith("(") and text.endswith(")"):
+            row = [_parse_integer(p) for p in text[1:-1].split(",")]
+        elif group.rank == 1:
+            row = [_parse_integer(text)]
+        else:
+            raise ValueError(f"write a coordinate tuple like ({','.join('0' * group.rank)})")
+        if len(row) != group.rank:
+            raise ValueError(f"expected {group.rank} coordinates, got {len(row)}")
     except ValueError as exc:
         raise ValueError(f"bad element literal {text!r} for {group}: {exc}") from None
-    raise ValueError(
-        f"bad element literal {text!r}: {group} needs a coordinate tuple like "
-        f"({','.join('0' * group.rank)})"
-    )
+    return row
 
 
-def _split_top_level(text: str) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced parentheses in set literal")
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth:
-        raise ValueError("unbalanced parentheses in set literal")
-    parts.append("".join(current))
-    cleaned = [p.strip() for p in parts]
-    if any(not p for p in cleaned):
-        raise ValueError("empty entry in set literal")
-    return cleaned
+def parse_element(group: AbelianGroup, text: str) -> GroupElement:
+    """Parse '(2,0,0)' (or a bare integer for single-factor groups)."""
+    return group.element(_literal_row(group, _unpadded(text)))
 
 
 def parse_connection_set(group: AbelianGroup, text: str) -> ConnectionSet:
-    """Parse a set literal like '{(1,0),(3,0)}' or '{1,3}'; '{}' is the empty set."""
-    stripped = text.strip()
-    if not (stripped.startswith("{") and stripped.endswith("}")):
+    """Parse a set literal like '{(1,0),(3,0)}' or '{1,3}'; '{}' is the empty set.
+
+    The entries' rows go to ConnectionSet.from_coordinates, like a set file's.
+    """
+    compact = _unpadded(text)
+    if not (compact.startswith("{") and compact.endswith("}")):
         raise ValueError(f"set literal must be brace-wrapped, got {text!r}")
-    inner = stripped[1:-1].strip()
-    if not inner:
-        return ConnectionSet.from_elements(group, [])
-    items = _split_top_level(inner)
-    return ConnectionSet.from_elements(group, (parse_element(group, item) for item in items))
+    entries = _ENTRY_COMMA_RE.split(compact[1:-1]) if compact != "{}" else []
+    return ConnectionSet.from_coordinates(group, [_literal_row(group, e) for e in entries])

@@ -27,7 +27,6 @@ from .groups import (
     ConnectionSet,
     GroupElement,
     _IndexTables,
-    _coordinate_rows,
     _require_bound,
     _require_bound_set,
     _tables,
@@ -124,13 +123,6 @@ class TransitionMatrix:
 
     def __post_init__(self) -> None:
         self.entries.setflags(write=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "vertices": _coordinate_rows(self.group, np.arange(self.group.order)).tolist(),
-            "entries": [[[z.real, z.imag] for z in row] for row in self.entries],
-        }
 
 
 def transition_amplitude(

@@ -300,6 +300,10 @@ def test_seventeen_digit_floats(capsys):
         ("check", "-g", "Z8", "-c", "{\u0662,\u0666}"),
         ("walk", "-g", "Z8", "-c", "{2,6}", "-t", "\u0663pi/\u0662", "--target", "4"),
         ("walk", "-g", "Z8", "-c", "{2,6}", "-t", "0.\u0665", "--target", "4"),
+        # whitespace inside a token is an error, never a way to join digits
+        ("check", "-g", "Z1 00", "-c", "{1,99}"),
+        ("check", "-g", "Z100", "-c", "{1 7, 8 3}"),
+        ("walk", "-g", "Z8", "-c", "{1,7}", "-t", "pi/2", "--target", "1 0"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv):

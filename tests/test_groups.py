@@ -461,6 +461,19 @@ def test_parse_connection_set():
         parse_connection_set(z4, "{1}")  # not inverse-closed
 
 
+def test_whitespace_inside_a_token_is_refused_not_joined():
+    # padding at the ends and around a separator is stripped; inside a token it never joins digits
+    with pytest.raises(ValueError, match="bad factor 'Z1 6'"):
+        parse_group("Z1 6")
+    with pytest.raises(ValueError, match="bad element literal '1 0' for Z5"):
+        parse_element(group("Z5"), "1 0")
+    with pytest.raises(ValueError, match="bad element literal '1 7' for Z100"):
+        parse_connection_set(group("Z100"), "{1 7,8 3}")
+    for text in ("(- 1)", "(1, 0 0)"):
+        with pytest.raises(ValueError, match="invalid integer literal"):
+            parse_element(group("Z5xZ5"), text)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(2, 40), min_size=1, max_size=3),

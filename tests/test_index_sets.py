@@ -170,6 +170,54 @@ def test_from_coordinates_refuses_a_short_row_beyond_int64():
         ConnectionSet.from_coordinates(group("Z2xZ2"), [[10**20]])
 
 
+padding = st.sampled_from(["", " ", "  ", "\t", "\n "])
+
+
+@st.composite
+def padded_set_literals(draw):
+    """An inverse-closed set of a group of order <= 64, its coordinate rows and a padded literal."""
+    g = draw(factor_lists(64))
+    picked = draw(st.sets(st.integers(1, g.order - 1), max_size=12))
+    indices = picked | {g.index_of(-g.element_at(i)) for i in picked}
+    rows = [
+        [c + n * draw(st.integers(-1, 1)) for c, n in zip(g.element_at(i).coords, g.factors)]
+        for i in draw(st.permutations(sorted(indices)))
+    ]
+
+    def entry(row):
+        if g.rank == 1 and draw(st.booleans()):
+            return str(row[0])
+        joined = "".join(f"{draw(padding)},{draw(padding)}{c}" for c in row[1:])
+        return f"({draw(padding)}{row[0]}{joined}{draw(padding)})"
+
+    entries = "".join(f"{draw(padding)},{draw(padding)}{entry(row)}" for row in rows[1:])
+    first = entry(rows[0]) if rows else ""
+    literal = f"{draw(padding)}{{{draw(padding)}{first}{entries}{draw(padding)}}}{draw(padding)}"
+    return g, rows, literal
+
+
+@settings(max_examples=100, deadline=None)
+@given(padded_set_literals())
+def test_a_set_literal_takes_the_set_file_route(tmp_path_factory, case):
+    g, rows, literal = case
+    found = groups.parse_connection_set(g, literal)
+    assert found == ConnectionSet.from_coordinates(g, rows)
+    path = tmp_path_factory.mktemp("export") / "set.json"
+    assert cli.main(["export", "-g", str(g), "-c", literal, "--format", "json", "--out", str(path)]) == 0
+    assert cli._load_connection_set(g, f"@{path}") == found
+
+
+def test_a_set_literal_builds_no_element_per_member(monkeypatch):
+    g = group("Z4xZ3xZ3")
+
+    def refuse(*args):
+        raise AssertionError("a set literal built a GroupElement")
+
+    monkeypatch.setattr(groups, "_element", refuse)
+    c = groups.parse_connection_set(g, "{(2,0,0), (1,1,0), (3,2,0)}")
+    assert c.indices.tolist() == [12, 18, 33] and not c.loops_allowed
+
+
 @settings(max_examples=40, deadline=None)
 @given(group_and_subset(max_order=48))
 def test_connection_set_routes_agree_on_inverse_closures(case):

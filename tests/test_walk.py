@@ -259,16 +259,6 @@ def test_difference_index_at_type_edges_and_the_cap(spec):
     assert_difference_index(group(spec))
 
 
-def test_transition_matrix_json_shape():
-    z2 = group("Z2")
-    doc = transition_matrix(z2, cset(z2, [(1,)]), math.pi / 2).to_json_dict()
-    assert doc["vertices"] == [[0], [1]]
-    assert len(doc["entries"]) == 2 and len(doc["entries"][0]) == 2
-    re, im = doc["entries"][0][1]
-    assert re == pytest.approx(0, abs=1e-12)
-    assert im == pytest.approx(1)
-
-
 @pytest.mark.parametrize("spec", ["Z512", "Z4xZ75", "Z8xZ5xZ7"])
 def test_fft_identity_row_matches_table(spec, monkeypatch):
     g = group(spec)
