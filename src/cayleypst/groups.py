@@ -146,7 +146,11 @@ class AbelianGroup:
         return index
 
     def element_at(self, index: int) -> GroupElement:
-        index = int(index)
+        """The element with this canonical index; a float or a string raises ValueError."""
+        try:
+            index = operator.index(index)
+        except TypeError:
+            raise ValueError(f"an element index must be an integer, got {index!r}") from None
         if not 0 <= index < self.order:
             raise IndexError(f"element index {index} out of range for {self}")
         coords = []
@@ -526,7 +530,8 @@ class _IndexTables:
         same, and C_1 minus {a} = 2*(C_2 minus {b, -b}) iff the first and the
         last do.
         """
-        a, b = self.transfer_classes
+        # the classes of the involution a and of the order-four element b
+        a, b = self.class_id[list(self.transfer_indices[:2])].tolist()
         # 2**valuation of each class's element order
         two_power = self.class_order & -self.class_order
         core = [i for i in np.flatnonzero(two_power == 4).tolist() if i != b]
@@ -592,12 +597,6 @@ class _IndexTables:
         """Indices of the involution a and of the order-four pair b, -b (the pair only if 4 | |G|)."""
         _, n, place = _even_axis(self.group)
         return n // 2 * place, n // 4 * place, 3 * n // 4 * place
-
-    @cached_property
-    def transfer_classes(self) -> tuple[int, int]:
-        """Power classes of the involution a and of the order-four pair: {a} and {b, -b}."""
-        a, b, _ = self.transfer_indices
-        return int(self.class_id[a]), int(self.class_id[b])
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)
@@ -665,40 +664,34 @@ def is_power_closed(connection_set) -> bool:
     """True iff the set is a union of power classes.
 
     Accepts a ConnectionSet or any iterable of elements, so sets that are not
-    inverse-closed can still be classified.  A ConnectionSet keeps the answer.
+    inverse-closed can still be classified.  A ConnectionSet answers from
+    its kept class mask (_class_mask).
     """
     if isinstance(connection_set, ConnectionSet):
-        closed = connection_set._power_closed
-        if closed is None:
-            tables = _tables(connection_set.group)
-            closed = _is_class_union(tables, _class_mask(connection_set), connection_set.indices)
-            object.__setattr__(connection_set, "_power_closed", closed)
-        return closed
+        return _class_mask(connection_set) is not None
     group, indices = _index_set(connection_set)
-    if group is None:
-        return True
+    return group is None or _union_mask(group, indices) is not None
+
+
+def _union_mask(group: AbelianGroup, indices: np.ndarray) -> np.ndarray | None:
+    """0/1 float64 mask of the power classes these elements are the union of, or None."""
     tables = _tables(group)
-    return _is_class_union(tables, _classes_met(tables, indices), indices)
-
-
-def _is_class_union(tables: _IndexTables, met: np.ndarray, indices: np.ndarray) -> bool:
-    # the classes a set meets hold all of its elements, and more unless it is their union
-    return bool(met @ tables.class_size == len(indices))
-
-
-def _classes_met(tables: _IndexTables, indices: np.ndarray) -> np.ndarray:
-    """0/1 float64 mask of the power classes that contain one of these elements."""
     counts = np.bincount(tables.class_id[indices], minlength=len(tables.class_size))
-    return _frozen((counts > 0).astype(np.float64))
+    met = (counts > 0).astype(np.float64)
+    # the classes a set meets hold all of its elements, and more unless it is their union
+    return _frozen(met) if met @ tables.class_size == len(indices) else None
 
 
-def _class_mask(connection_set: ConnectionSet) -> np.ndarray:
-    """The mask of the power classes a set meets, computed once and kept on the set."""
+def _class_mask(connection_set: ConnectionSet) -> np.ndarray | None:
+    """The mask of the power classes a set is the union of, None unless it is power-closed.
+
+    Computed once and kept on the set, as False for a set that is not power-closed.
+    """
     mask = connection_set._class_mask
     if mask is None:
-        mask = _classes_met(_tables(connection_set.group), connection_set.indices)
-        object.__setattr__(connection_set, "_class_mask", mask)
-    return mask
+        mask = _union_mask(connection_set.group, connection_set.indices)
+        object.__setattr__(connection_set, "_class_mask", False if mask is None else mask)
+    return None if mask is False else mask
 
 
 def partition_by_two_part(connection_set) -> dict[int, frozenset[GroupElement]]:
@@ -738,23 +731,16 @@ class ConnectionSet:
     indices, and membership searches it; `elements`, the frozenset of
     members, is built on each read.  `loops_allowed` records that the
     identity was present in the raw input and stripped (a loop at every
-    vertex, which never affects transfer).  The mask of the power classes
-    it meets is also kept once read, and so is whether the set is
-    power-closed: the spectrum, the walk and the structural conditions all
-    start from them.  So are its exact class spectrum
-    (spectra._class_spectrum) and its character sums, once the FFT has
-    computed them (spectra._character_sums).  Every kept array owns its data.
+    vertex, which never affects transfer).  Two derived values are kept once
+    read, each from one producer: the mask of the power classes the set is
+    the union of, or False when it is not power-closed (_class_mask), and its
+    character sums, one per dual power class for a power-closed set and one
+    per character otherwise (spectra._sums).  The spectrum, the walk and the
+    structural conditions all start from them.  No kept array is a view into
+    a larger one, so no set keeps more alive than its own values.
     """
 
-    __slots__ = (
-        "group",
-        "indices",
-        "loops_allowed",
-        "_class_mask",
-        "_power_closed",
-        "_class_spectrum",
-        "_character_sums",
-    )
+    __slots__ = ("group", "indices", "loops_allowed", "_class_mask", "_sums")
 
     def __init__(self, group: AbelianGroup, elements: Iterable[GroupElement]) -> None:
         self._init(group, _sorted_indices(group, elements), False)
@@ -770,18 +756,18 @@ class ConnectionSet:
 
     @classmethod
     def _from_class_mask(
-        cls, group: AbelianGroup, mask: np.ndarray, spectrum: np.ndarray | None = None
+        cls, group: AbelianGroup, mask: np.ndarray, sums: np.ndarray | None = None
     ) -> ConnectionSet:
         """The union of the power classes marked 1 in a 0/1 float64 class mask.
 
         The identity's class must be unmarked.  Power classes are
         inverse-closed, so nothing is validated, and the set keeps the mask
-        and, when given, its class spectrum S @ mask.  Both must own their data.
+        and, when given, its class sums S @ mask.  Both must own their data.
         """
         connection_set = cls.__new__(cls)
         indices = mask[_tables(group).class_id].nonzero()[0]
-        spectrum = None if spectrum is None else _frozen(spectrum)
-        connection_set._store(group, indices, False, _frozen(mask), True, spectrum)
+        sums = None if sums is None else _frozen(sums)
+        connection_set._store(group, indices, False, _frozen(mask), sums)
         return connection_set
 
     def _init(self, group, indices, loops_allowed) -> None:
@@ -796,20 +782,16 @@ class ConnectionSet:
             raise ValueError(
                 f"set is not inverse-closed: missing inverse of {group.element_at(first)!r}"
             )
-        self._store(group, indices, loops_allowed, None, None)
+        self._store(group, indices, loops_allowed, None)
 
-    def _store(
-        self, group, indices, loops_allowed, class_mask, power_closed, class_spectrum=None
-    ) -> None:
+    def _store(self, group, indices, loops_allowed, class_mask, sums=None) -> None:
         # every slot, in __slots__ order: __setattr__ refuses every assignment
         store = object.__setattr__
         store(self, "group", group)
         store(self, "indices", _frozen(indices))
         store(self, "loops_allowed", loops_allowed)
         store(self, "_class_mask", class_mask)
-        store(self, "_power_closed", power_closed)
-        store(self, "_class_spectrum", class_spectrum)
-        store(self, "_character_sums", None)
+        store(self, "_sums", sums)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"ConnectionSet is immutable; cannot set {name!r}")

@@ -34,7 +34,7 @@ from .groups import (
     sylow2_cyclic,
     two_part,
 )
-from .spectra import _class_spectrum, integral_spectrum
+from .spectra import _sums, integral_spectrum
 from .walk import detect_pst_numeric
 
 TRANSFER_TIME = math.pi / 2
@@ -274,10 +274,10 @@ def character_criterion(group: AbelianGroup, connection_set: ConnectionSet) -> b
     eigenvalues, one character of each dual power class, not all |G|.
     """
     _require_bound_set(group, connection_set)
-    per_class = _class_spectrum(group, connection_set)
-    if per_class is None:
+    sums = _sums(group, connection_set)
+    if _class_mask(connection_set) is None:
         integral_spectrum(group, connection_set)  # not power-closed: NonIntegralSpectrumError
-    values, characters = per_class.astype(np.int64), _tables(group).class_reps
+    values, characters = sums.astype(np.int64), _tables(group).class_reps
     if group.d == 0:
         return False
     _, n, place = _even_axis(group)  # ValueError unless the Sylow-2-subgroup is cyclic
@@ -383,10 +383,10 @@ def enumerate_pst_sets(group: AbelianGroup) -> list[ConnectionSet]:
         # S @ mask of every candidate, exact: einsum casts the narrow integer S to float64.
         # einsum runs numpy's own loop: a BLAS matrix product would touch the BLAS
         # work buffer, about 0.2 MB more peak RSS
-        block_spectra = np.einsum("ck,dk->cd", masks, tables.class_sums)
-        for mask, spectrum in zip(masks, block_spectra):
+        block_sums = np.einsum("ck,dk->cd", masks, tables.class_sums)
+        for mask, sums in zip(masks, block_sums):
             # copies: a row of a block would keep the whole block alive in every set found
-            candidate = ConnectionSet._from_class_mask(group, mask.copy(), spectrum.copy())
+            candidate = ConnectionSet._from_class_mask(group, mask.copy(), sums.copy())
             report = characterize_pst(group, candidate)
             detection = detect_pst_numeric(group, candidate, TRANSFER_TIME)
             if not scan_agrees(report, detection):

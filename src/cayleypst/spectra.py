@@ -13,9 +13,9 @@ power classes) times the set's class mask, by one class transform, rounded.
 That is the exact product on at most MAX_CLASSES classes, and above that the
 one FFT kernel, numpy's ifftn over `group.factors` in O(|G| log |G|) time and
 O(|G|) memory.  Only a set that is not power-closed takes the FFT of its own
-indicator, which names a sum that is not an integer.  A set keeps its class
-spectrum or its sums, so it pays for one transform.  The dense character
-table is a test oracle only.
+indicator, one sum per character, which names a sum that is not an integer.
+A set keeps its sums, per class or per character (_sums), so it pays for one
+transform.  The dense character table is a test oracle only.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .groups import (
     _require_bound_set,
     _tables,
     check_square,
-    is_power_closed,
 )
 
 INTEGRALITY_TOL = 1e-7
@@ -100,17 +99,6 @@ def _indicator(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray
     return vec
 
 
-def _character_sums(connection_set: ConnectionSet) -> np.ndarray:
-    """Every character sum of a set, by the FFT, computed once and kept on the set."""
-    sums = connection_set._character_sums
-    if sums is None:
-        group = connection_set.group
-        sums = _character_transform(group, _indicator(group, connection_set))
-        sums.setflags(write=False)
-        object.__setattr__(connection_set, "_character_sums", sums)
-    return sums
-
-
 def _class_transform(group: AbelianGroup, values: np.ndarray, inverse: bool = False) -> np.ndarray:
     """S @ values for a vector over the power classes, divided by |G| when inverse.
 
@@ -124,29 +112,32 @@ def _class_transform(group: AbelianGroup, values: np.ndarray, inverse: bool = Fa
     return tables.class_sums.dot(values) / (group.order if inverse else 1)
 
 
-def _class_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray | None:
-    """Eigenvalue of each dual power class, S @ mask rounded; None unless the set is power-closed.
+def _sums(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray:
+    """The character sums of a set, computed once and kept on the set.
 
-    The spectrum is computed once and kept on the set; a census candidate
-    arrives with it, from one product over its block.  A sum that rounding
-    moves by more than INTEGRALITY_TOL is a numeric fault: RuntimeError.
+    A power-closed set has one sum per dual power class, S @ mask rounded; a
+    census candidate arrives with it, from one product over its block, and a
+    sum that rounding moves by more than INTEGRALITY_TOL is a numeric fault:
+    RuntimeError.  Any other set has one sum per character, by the FFT.
     """
-    per_class = connection_set._class_spectrum
-    if per_class is None:
-        if not is_power_closed(connection_set):
-            return None
-        sums = _class_transform(group, _class_mask(connection_set))
-        per_class = np.rint(sums.real)
-        residual = np.abs(sums - per_class)
-        if residual.max() > INTEGRALITY_TOL:
-            worst = int(np.argmax(residual))
-            raise RuntimeError(
-                f"internal error: character sum {complex(sums[worst])} of a power-closed set "
-                f"is {residual[worst]:.3g} off an integer"
-            )
-        per_class.setflags(write=False)
-        object.__setattr__(connection_set, "_class_spectrum", per_class)
-    return per_class
+    sums = connection_set._sums
+    if sums is None:
+        mask = _class_mask(connection_set)
+        if mask is None:
+            sums = _character_transform(group, _indicator(group, connection_set))
+        else:
+            product = _class_transform(group, mask)
+            sums = np.rint(product.real)
+            residual = np.abs(product - sums)
+            if residual.max() > INTEGRALITY_TOL:
+                worst = int(np.argmax(residual))
+                raise RuntimeError(
+                    f"internal error: character sum {complex(product[worst])} of a power-closed "
+                    f"set is {residual[worst]:.3g} off an integer"
+                )
+        sums.setflags(write=False)
+        object.__setattr__(connection_set, "_sums", sums)
+    return sums
 
 
 class Spectrum:
@@ -215,19 +206,18 @@ class Spectrum:
 def integral_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> Spectrum:
     """Evaluate every character sum as an exact integer.
 
-    The spectrum is integral exactly when the set is power-closed, and
-    is_power_closed decides it.  Every spectrum holds one eigenvalue per
-    dual power class (_class_spectrum); the empty set is the union of no
+    The spectrum is integral exactly when the set is power-closed, and its
+    class mask decides it.  Every spectrum holds one eigenvalue per dual
+    power class, the set's sums (_sums); the empty set is the union of no
     classes, so its spectrum is all zeros.  A set that is not
     power-closed raises NonIntegralSpectrumError naming the first character
     in canonical order whose sum, by the FFT, is off an integer by more than
     INTEGRALITY_TOL.
     """
     _require_bound_set(group, connection_set)
-    per_class = _class_spectrum(group, connection_set)
-    if per_class is not None:
-        return Spectrum._from_classes(group, per_class.astype(np.int64))
-    sums = _character_sums(connection_set)
+    sums = _sums(group, connection_set)
+    if _class_mask(connection_set) is not None:
+        return Spectrum._from_classes(group, sums.astype(np.int64))
     residual = np.abs(sums - np.rint(sums.real))
     off = residual > INTEGRALITY_TOL
     # some sum is not an integer; should rounding hide all of them, name the farthest

@@ -27,18 +27,13 @@ from .groups import (
     ConnectionSet,
     GroupElement,
     _IndexTables,
+    _class_mask,
     _require_bound,
     _require_bound_set,
     _tables,
     check_square,
 )
-from .spectra import (
-    _character_sums,
-    _character_transform,
-    _class_spectrum,
-    _class_transform,
-    _indicator,
-)
+from .spectra import _character_transform, _class_transform, _indicator, _sums
 from .spectra import character_table  # noqa: F401  (perfbench/tracer.py rebinds walk.character_table)
 
 DENSE_ORDER_CAP = 512
@@ -85,7 +80,7 @@ def _row(
     """The identity row, one amplitude per slot, and the tables that index it or None.
 
     For a power-closed set a slot is a power class, the tables are the
-    power-class tables, and the phases come from its exact class spectrum,
+    power-class tables, and the phases come from its exact class sums,
     since t would scale any round-off.  For any other set a slot is an
     element, by the FFT, and the tables are None; an inverse-closed set's
     sums are real, so their round-off imaginary parts stay out of the
@@ -98,11 +93,11 @@ def _row(
     if not size:
         # the empty graph never moves
         return np.eye(1, group.order, dtype=np.complex128)[0], None
-    per_class = _class_spectrum(group, connection_set)
-    if per_class is None:
-        phases = np.exp(1j * t * _character_sums(connection_set).real)
+    sums = _sums(group, connection_set)
+    if _class_mask(connection_set) is None:
+        phases = np.exp(1j * t * sums.real)
         return _character_transform(group, phases, inverse=True), None
-    phases = 1j * t * per_class
+    phases = 1j * t * sums
     np.exp(phases, out=phases)
     return _class_transform(group, phases, inverse=True), _tables(group)
 

@@ -78,6 +78,6 @@ def test_kept_class_arrays_own_their_data(spec):
     assert sets
     sums = _tables(g).class_sums
     for c in sets:
-        for kept in (c._class_mask, c._class_spectrum):
+        for kept in (c._class_mask, c._sums):
             assert kept.base is None and not kept.flags.writeable
-        assert np.array_equal(c._class_spectrum, sums @ c._class_mask)
+        assert np.array_equal(c._sums, sums @ c._class_mask)

@@ -32,7 +32,7 @@ from cayleypst import (
 )
 from cayleypst import cli, groups, is_periodic_numeric, list_power_classes, pst, spectra, walk
 from cayleypst.groups import MAX_ORDER, _class_mask, _tables
-from cayleypst.spectra import MAX_CLASSES, _character_transform, _class_spectrum, _indicator
+from cayleypst.spectra import MAX_CLASSES, _character_transform, _indicator, _sums
 from cayleypst.walk import _identity_row
 from conftest import (
     brute_element_order,
@@ -142,12 +142,12 @@ def test_class_route_row_matches_the_fft_row(g, seed):
     empty = ConnectionSet(g, frozenset())
     for c in (empty, random_class_union(g, random.Random(seed))):
         if len(c):
-            # every power-closed set has a class spectrum, the same by the product and by the FFT
+            # every power-closed set has class sums, the same by the product and by the FFT
             fresh = ConnectionSet._from_indices(g, c.indices.copy())
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(spectra, "MAX_CLASSES", 0)
-                by_fft = _class_spectrum(g, fresh)
-            assert np.array_equal(_class_spectrum(g, c), by_fft)
+                by_fft = _sums(g, fresh)
+            assert np.array_equal(_sums(g, c), by_fft)
         exact = integral_spectrum(g, c).values
         for t in (math.pi / 2, 1.0, 1e6):
             # the FFT kernel is fed the exact spectrum: at t = 1e6 a round-off of
@@ -396,9 +396,9 @@ def test_class_space_criterion_reads_no_spectrum(monkeypatch):
         assert [character_criterion(g, c) for c in sets] == expected
         assert any(expected) and not all(expected)
         for c in sets:
-            # the walk row is over the power classes too, and no element FFT is kept on the set
+            # the walk row is over the power classes too, and the sums kept are per class
             assert walk._row(g, c, math.pi / 2)[1] is _tables(g)
-            assert c._character_sums is None
+            assert len(c._sums) == len(_tables(g).class_size)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -453,15 +453,27 @@ def test_a_set_keeps_its_class_spectrum(g, seed):
     c = random_class_union(g, random.Random(seed))
     tables = _tables(g)
     assume(len(tables.class_size) <= MAX_CLASSES)
-    per_class = _class_spectrum(g, c)
+    per_class = _sums(g, c)
     # computed once, kept, and owning its data
-    assert c._class_spectrum is per_class and _class_spectrum(g, c) is per_class
+    assert c._sums is per_class and _sums(g, c) is per_class
     assert per_class.base is None and not per_class.flags.writeable
     assert np.array_equal(per_class, tables.class_sums @ _class_mask(c))
     # every character's sum over the set is its dual class's entry
     dense = character_table(g) @ _indicator(g, c)
     assert np.abs(dense - per_class[tables.class_id]).max() < 1e-9
     assert np.array_equal(integral_spectrum(g, c).values, per_class.astype(np.int64)[tables.class_id])
+    # with one inverse pair split off a class of more than two members, the set is not
+    # power-closed, and it keeps one sum per character instead
+    members = max(tables.class_members, key=len).tolist()
+    if len(members) > 2:
+        pair = {members[0], g.index_of(-g.element_at(members[0]))}
+        kept = sorted((set(c.indices.tolist()) | set(members)) - pair)
+        split = ConnectionSet._from_indices(g, np.array(kept, dtype=np.intp))
+        assert not groups.is_power_closed(split)
+        sums = _sums(g, split)
+        assert len(sums) == g.order and not sums.flags.writeable
+        assert split._sums is sums and _sums(g, split) is sums
+        assert np.abs(sums - character_table(g) @ _indicator(g, split)).max() < 1e-9
 
 
 def census_candidates(g):
@@ -496,10 +508,10 @@ def test_block_spectra_decide_like_spectra_computed_on_demand(g, t_other, seed):
     for c in candidates:
         # the same members, with nothing kept: its spectrum is computed on demand
         fresh = ConnectionSet._from_indices(g, c.indices.copy())
-        assert fresh._class_spectrum is None
-        block = c._class_spectrum
+        assert fresh._sums is None
+        block = c._sums
         assert block.base is None and not block.flags.writeable
-        assert block.tobytes() == _class_spectrum(g, fresh).tobytes()
+        assert block.tobytes() == _sums(g, fresh).tobytes()
         assert block.tobytes() == (tables.class_sums @ _class_mask(c)).tobytes()
         assert np.array_equal(integral_spectrum(g, c).values, integral_spectrum(g, fresh).values)
         assert character_criterion(g, c) == character_criterion(g, fresh)

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,22 @@ def test_group_element_reads_each_coordinate_as_an_integer():
     assert str(GroupElement(g, (True, 0))) == "(1,0)"
     with pytest.raises(ValueError, match="out of range for Z4"):
         GroupElement(g, (np.int64(4), 0))
+
+
+def test_element_at_reads_the_index_as_an_integer():
+    z8 = group("Z8")
+    # nothing is truncated or parsed: a float, a string and a numpy float are refused
+    for index in (2.7, "3", np.float64(2)):
+        message = re.escape(f"an element index must be an integer, got {index!r}")
+        with pytest.raises(ValueError, match=message):
+            z8.element_at(index)
+    # numpy integers, such as an entry of an index array, and bools are integers
+    for index, expected in [(np.int64(3), (3,)), (np.uint8(2), (2,)), (True, (1,))]:
+        x = z8.element_at(index)
+        assert x.coords == expected and all(type(c) is int for c in x.coords)
+    assert group("Z4xZ3").element_at(np.int32(11)).coords == (3, 2)
+    with pytest.raises(IndexError):
+        z8.element_at(np.int64(8))
 
 
 def test_element_arithmetic():
