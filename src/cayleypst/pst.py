@@ -34,7 +34,7 @@ from .groups import (
     sylow2_cyclic,
     two_part,
 )
-from .spectra import _sums, integral_spectrum
+from .spectra import delta, integral_spectrum
 from .walk import detect_pst_numeric
 
 TRANSFER_TIME = math.pi / 2
@@ -270,24 +270,21 @@ def character_criterion(group: AbelianGroup, connection_set: ConnectionSet) -> b
     this holds exactly when transfer from the identity to a occurs at time
     pi/delta.  Returns False when no involution exists (odd order) or when
     delta is undefined (a single eigenvalue); propagates
-    NonIntegralSpectrumError for non-power-closed sets.  It reads the k class
-    eigenvalues, one character of each dual power class, not all |G|.
+    NonIntegralSpectrumError for non-power-closed sets.  It reads the spectrum
+    and delta, from the set's real, float64 sums: the k class eigenvalues.
     """
-    _require_bound_set(group, connection_set)
-    sums = _sums(group, connection_set)
-    if _class_mask(connection_set) is None:
-        integral_spectrum(group, connection_set)  # not power-closed: NonIntegralSpectrumError
-    values, characters = sums.astype(np.int64), _tables(group).class_reps
+    spectrum = integral_spectrum(group, connection_set)
     if group.d == 0:
         return False
     _, n, place = _even_axis(group)  # ValueError unless the Sylow-2-subgroup is cyclic
     # a is n/2 on the even factor Z_n and 0 elsewhere, so chi_j(a) = (-1)**j_e, with
     # j_e the character's coordinate on that factor; units are odd and n is even,
     # so j_e has one parity across a dual power class
-    gap = int(np.gcd.reduce(values.max() - values))
-    if not gap:
+    gap = delta(spectrum)
+    if gap is None:
         return False
     # |C| is the top eigenvalue, so the gap divides every |C| - chi(C)
+    values, characters = spectrum._per_class, _tables(group).class_reps
     steps = (len(connection_set) - values) // gap
     return bool((steps % 2 == characters // place % n % 2).all())
 

@@ -14,8 +14,9 @@ That is the exact product on at most MAX_CLASSES classes, and above that the
 one FFT kernel, numpy's ifftn over `group.factors` in O(|G| log |G|) time and
 O(|G|) memory.  Only a set that is not power-closed takes the FFT of its own
 indicator, one sum per character, which names a sum that is not an integer.
-A set keeps its sums, per class or per character (_sums), so it pays for one
-transform.  The dense character table is a test oracle only.
+A set keeps its real, float64 sums (C is inverse-closed), per class or per
+character (_sums), so it pays for one transform.  The dense character table
+is a test oracle only.
 """
 
 from __future__ import annotations
@@ -113,18 +114,19 @@ def _class_transform(group: AbelianGroup, values: np.ndarray, inverse: bool = Fa
 
 
 def _sums(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray:
-    """The character sums of a set, computed once and kept on the set.
+    """The real, float64 character sums of a set, computed once and kept on the set.
 
     A power-closed set has one sum per dual power class, S @ mask rounded; a
     census candidate arrives with it, from one product over its block, and a
     sum that rounding moves by more than INTEGRALITY_TOL is a numeric fault:
-    RuntimeError.  Any other set has one sum per character, by the FFT.
+    RuntimeError.  Any other set has one sum per character, an owned copy of
+    the FFT's real part: C is inverse-closed, so the rest is round-off.
     """
     sums = connection_set._sums
     if sums is None:
         mask = _class_mask(connection_set)
         if mask is None:
-            sums = _character_transform(group, _indicator(group, connection_set))
+            sums = _character_transform(group, _indicator(group, connection_set)).real.copy()
         else:
             product = _class_transform(group, mask)
             sums = np.rint(product.real)
@@ -218,7 +220,7 @@ def integral_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> Spe
     sums = _sums(group, connection_set)
     if _class_mask(connection_set) is not None:
         return Spectrum._from_classes(group, sums.astype(np.int64))
-    residual = np.abs(sums - np.rint(sums.real))
+    residual = np.abs(sums - np.rint(sums))
     off = residual > INTEGRALITY_TOL
     # some sum is not an integer; should rounding hide all of them, name the farthest
     first = int(np.argmax(off) if off.any() else np.argmax(residual))
@@ -231,13 +233,12 @@ def delta(spectrum: Spectrum) -> int | None:
 
     Returns None when there is a single distinct eigenvalue (a graph with no
     transfer time; never 0, so pi/delta is always well defined when not None).
+    It reads the class eigenvalues, from the set's real, float64 sums.
     """
-    # the distinct eigenvalues, in descending order
-    values = np.array(spectrum.distinct)
-    return int(np.gcd.reduce(values[0] - values)) or None
+    values = spectrum._per_class
+    return int(np.gcd.reduce(values.max() - values)) or None
 
 
 def odd_eigenvalue_exists(group: AbelianGroup, connection_set: ConnectionSet) -> bool:
-    """True iff the integral spectrum contains an odd eigenvalue."""
-    spectrum = integral_spectrum(group, connection_set)
-    return any(value % 2 for value in spectrum.eigenvalues)
+    """True iff some class eigenvalue, of the set's real, float64 sums, is odd."""
+    return bool((integral_spectrum(group, connection_set)._per_class % 2).any())

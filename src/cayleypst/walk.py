@@ -79,26 +79,25 @@ def _row(
 ) -> tuple[np.ndarray, _IndexTables | None]:
     """The identity row, one amplitude per slot, and the tables that index it or None.
 
-    For a power-closed set a slot is a power class, the tables are the
-    power-class tables, and the phases come from its exact class sums,
-    since t would scale any round-off.  For any other set a slot is an
-    element, by the FFT, and the tables are None; an inverse-closed set's
-    sums are real, so their round-off imaginary parts stay out of the
-    phases.  A finite t * |C| bounds every phase: no eigenvalue exceeds |C|.
+    One phase expression, exp(i * t * sums), reads the set's real, float64
+    sums.  A power-closed set's are exact class sums (t would scale any
+    round-off); its slots are power classes and the tables the power-class
+    tables.  Any other set's slots are elements, by the FFT, and the tables
+    None.  No sum exceeds |C|, so a finite t * |C| bounds every phase.
     """
     _require_bound_set(group, connection_set)
     size = len(connection_set)
+    if not math.isfinite(t):
+        raise ValueError(f"time {t!r} is not a finite number")
     if not math.isfinite(t * size):
         raise ValueError(f"time {t!r} is too large: the phase t * |C| overflows for |C| = {size}")
     if not size:
         # the empty graph never moves
         return np.eye(1, group.order, dtype=np.complex128)[0], None
-    sums = _sums(group, connection_set)
-    if _class_mask(connection_set) is None:
-        phases = np.exp(1j * t * sums.real)
-        return _character_transform(group, phases, inverse=True), None
-    phases = 1j * t * sums
+    phases = 1j * t * _sums(group, connection_set)
     np.exp(phases, out=phases)
+    if _class_mask(connection_set) is None:
+        return _character_transform(group, phases, inverse=True), None
     return _class_transform(group, phases, inverse=True), _tables(group)
 
 

@@ -384,16 +384,18 @@ def test_class_space_criterion_matches_the_character_loop(g, seed, with_a, with_
 
 
 def test_class_space_criterion_reads_no_spectrum(monkeypatch):
-    def refuse(group, connection_set):
-        raise AssertionError("the class-space criterion read the |G|-length spectrum")
+    def refuse(spectrum):
+        raise AssertionError("the class-space criterion spread the spectrum over |G|")
 
-    monkeypatch.setattr(pst, "integral_spectrum", refuse)
     # Z4xZ3^5 has 366 power classes, above MAX_CLASSES: its class values come from the FFT
     for spec in ("Z8xZ9", "Z4x" + "x".join(["Z3"] * 5)):
         g, rng = group(spec), random.Random(5)
         sets = [near_transfer_set(g, rng, with_a, not with_a) for with_a in (True, False)] * 4
+        # the oracle reads the |G| values, so it runs before they are refused
         expected = [loop_character_criterion(g, c) for c in sets]
-        assert [character_criterion(g, c) for c in sets] == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra.Spectrum, "values", property(refuse))
+            assert [character_criterion(g, c) for c in sets] == expected
         assert any(expected) and not all(expected)
         for c in sets:
             # the walk row is over the power classes too, and the sums kept are per class
@@ -489,6 +491,30 @@ def census_candidates(g):
         patch.setattr(pst, "characterize_pst", record)
         enumerate_pst_sets(g)
     return seen
+
+
+def test_every_route_keeps_real_float64_sums():
+    def kept(g, c):
+        sums = _sums(g, c)
+        assert sums.dtype == np.float64 and sums.base is None and not sums.flags.writeable
+        assert c._sums is sums and _sums(g, c) is sums
+        return sums
+
+    # a power-closed set by the S product, and one above MAX_CLASSES by the FFT
+    for spec, seed in (("Z8xZ9", 0), ("Z4x" + "x".join(["Z3"] * 5), 1)):
+        g = group(spec)
+        kept(g, random_class_union(g, random.Random(seed)))
+    # census candidates, whose sums come from their block
+    z8x3 = group("Z8xZ3")
+    for c in census_candidates(z8x3):
+        assert len(kept(z8x3, c)) == len(_tables(z8x3).class_size)
+    # a set that is not power-closed keeps the real parts of its FFT sums
+    split = cset(z8x3, [(1, 0), (7, 0), (0, 1), (0, 2)])
+    assert not groups.is_power_closed(split)
+    sums = kept(z8x3, split)
+    dense = character_table(z8x3) @ _indicator(z8x3, split)
+    assert len(sums) == z8x3.order and np.abs(dense.imag).max() < 1e-9
+    assert np.abs(sums - dense.real).max() < 1e-9
 
 
 def same_complex(x, y):

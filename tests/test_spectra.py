@@ -271,6 +271,21 @@ def test_array_spectrum_matches_the_table(factors, seed):
     assert delta(spectrum) == (math.gcd(*gaps) if gaps else None)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(2, 16), min_size=1, max_size=3).filter(lambda fs: math.prod(fs) <= 64),
+    st.integers(0, 2**32 - 1),
+)
+def test_delta_and_odd_eigenvalues_match_the_multiset(factors, seed):
+    # both read the class eigenvalues; the oracles read the multiset
+    g = AbelianGroup(tuple(factors))
+    c = random_class_union(g, random.Random(seed))
+    spectrum = integral_spectrum(g, c)
+    top = spectrum.distinct[0]
+    assert delta(spectrum) == (math.gcd(*(top - v for v in spectrum.distinct)) or None)
+    assert odd_eigenvalue_exists(g, c) == any(v % 2 for v in spectrum.eigenvalues)
+
+
 @pytest.mark.parametrize("spec, seed", [("Z8xZ9", 1), ("Z4xZ3xZ5", 2), ("Z2xZ2xZ3", 3)])
 def test_a_class_route_spectrum_counts_without_spreading_its_values(spec, seed):
     g = group(spec)

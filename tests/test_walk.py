@@ -197,6 +197,18 @@ def test_identity_row_is_a_unit_vector_at_every_time(spec):
         assert abs(np.linalg.norm(_identity_row(g, c, t)) - 1) < 1e-9, t
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("literal", [[], [(1,), (7,)]])
+def test_a_time_that_is_not_finite_is_refused_as_such(t, literal):
+    z8 = group("Z8")
+    c = cset(z8, literal)
+    message = f"time {t!r} is not a finite number"
+    with pytest.raises(ValueError, match=message):
+        transition_amplitude(z8, c, z8.identity, elem(z8, 4), t)
+    with pytest.raises(ValueError, match=message):
+        detect_pst_numeric(z8, c, t)
+
+
 def test_dense_cap():
     g = group(f"Z{2 * DENSE_ORDER_CAP}")
     c = cset(g, [(DENSE_ORDER_CAP,)])
