@@ -9,15 +9,18 @@ Each element also has a canonical index: the mixed-radix number of its
 coordinates, so index order is lexicographic coordinate order.  A
 ConnectionSet is held as the sorted array of its members' indices, and the
 set algebra (validation, power-closure, valuation buckets, scalar
-multiples) runs on numpy index arrays.  Negation, element orders and
-their 2-adic valuations, and the x2, x4 and odd-part maps are computed at
-the indices asked about.  Each group caches one table over all its
-elements, the power-class ids (and the class member lists once read), and
-per power class its least member, its element order (both found with the
-ids), the exact class-sum matrix of its characters and what the transfer
-conditions read, each built on first use.  The ids and the matrix are held
-in the narrowest integer types that hold them.  They take O(|G|) memory, so
-index-backed operations refuse groups of more than MAX_ORDER elements.
+multiples) runs on numpy index arrays.  A group holds the O(1) facts of
+its factors, computed with it: whether its Sylow-2-subgroup is cyclic, the
+place values of an index and the indices of a, b and -b.  From those, negation,
+element orders and their 2-adic valuations, and the x2, x4 and odd-part
+maps are computed at the indices asked about.  The group's index tables
+(_tables) hold one table over all its elements, the power-class ids (and
+the class member lists once read), and per power class its least member,
+its element order (both found with the ids), the exact class-sum matrix of
+its characters and what the transfer conditions read, each built on first
+use in the narrowest integer type that holds it.  The ids take O(|G|)
+memory, so the tables and set building refuse groups of more than
+MAX_ORDER elements; the facts take no cap.
 """
 
 from __future__ import annotations
@@ -71,6 +74,12 @@ class AbelianGroup:
     m: int = field(init=False, repr=False)
     # groups key every per-group cache, so the hash is computed once
     _hash: int = field(init=False, repr=False)
+    # O(1) facts of the factors, capped by no order: whether the Sylow-2-subgroup is cyclic,
+    # the factors and the place value of each in an index as read-only columns, and the
+    # indices of the involution a and of b, -b (b only if 4 | |G|; None unless one factor is even)
+    _sylow2_cyclic: bool = field(init=False, repr=False)
+    _radix: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _transfer_indices: tuple[int, int, int] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
@@ -90,6 +99,19 @@ class AbelianGroup:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_hash", hash(factors))
+        # set here, not on first read: an attribute added later (as functools.cached_property
+        # adds one) moves a group's attributes into a dict, and every later read is slower
+        evens = [i for i, n in enumerate(factors) if n % 2 == 0]
+        object.__setattr__(self, "_sylow2_cyclic", len(evens) <= 1)
+        # a place value is the product of the later factors, in Python ints: no int64 wraps here
+        places = list(itertools.accumulate(factors[:0:-1], operator.mul, initial=1))[::-1]
+        radix = tuple(_frozen(np.array(column)[:, None]) for column in (factors, places))
+        object.__setattr__(self, "_radix", radix)
+        transfer = None
+        if len(evens) == 1:
+            n, place = factors[evens[0]], places[evens[0]]
+            transfer = n // 2 * place, n // 4 * place, 3 * n // 4 * place
+        object.__setattr__(self, "_transfer_indices", transfer)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -103,6 +125,10 @@ class AbelianGroup:
 
     def __str__(self) -> str:
         return "x".join(f"Z{n}" for n in self.factors)
+
+    def __reduce__(self):
+        # pickle and copy carry the factors only, and the facts are computed again
+        return AbelianGroup, (self.factors,)
 
     def __repr__(self) -> str:
         return f"AbelianGroup({self})"
@@ -292,7 +318,7 @@ def element_order(group: AbelianGroup, g: GroupElement) -> int:
 
 def sylow2_cyclic(group: AbelianGroup) -> bool:
     """True iff at most one factor is even, i.e. the Sylow-2-subgroup is cyclic."""
-    return sum(1 for n in group.factors if n % 2 == 0) <= 1
+    return group._sylow2_cyclic
 
 
 def _even_axis(group: AbelianGroup) -> tuple[int, int, int]:
@@ -306,10 +332,9 @@ def _even_axis(group: AbelianGroup) -> tuple[int, int, int]:
 
 def unique_involution(group: AbelianGroup) -> GroupElement:
     """The single element of order two (needs cyclic Sylow-2 and even order)."""
-    if not sylow2_cyclic(group) or group.d < 1:
+    if not group._sylow2_cyclic or group.d < 1:
         raise ValueError(f"{group} has no unique element of order two")
-    _, n, place = _even_axis(group)
-    return group.element_at(n // 2 * place)
+    return group.element_at(group._transfer_indices[0])
 
 
 def order_four_pair(group: AbelianGroup) -> tuple[GroupElement, GroupElement]:
@@ -317,10 +342,10 @@ def order_four_pair(group: AbelianGroup) -> tuple[GroupElement, GroupElement]:
 
     Exists exactly when the Sylow-2-subgroup is cyclic of order >= 4.
     """
-    if not sylow2_cyclic(group) or group.d < 2:
+    if not group._sylow2_cyclic or group.d < 2:
         raise ValueError(f"{group} has no unique pair of elements of order four")
-    _, n, place = _even_axis(group)
-    return group.element_at(n // 4 * place), group.element_at(3 * n // 4 * place)
+    _, b, b_inv = group._transfer_indices
+    return group.element_at(b), group.element_at(b_inv)
 
 
 def _odd_component_multiplier(group: AbelianGroup) -> int:
@@ -386,7 +411,7 @@ def _unit_generators(n: int) -> list[tuple[int, int]]:
 
 def _multiples(group: AbelianGroup, k: int, indices: np.ndarray) -> np.ndarray:
     """Canonical indices of k*g for the elements g with these canonical indices."""
-    factors, places = _tables(group).radix
+    factors, places = group._radix
     # each factor divides |G|: reduce k so that no product leaves int64
     return places.ravel() @ (indices // places * (k % group.order) % factors)
 
@@ -409,7 +434,7 @@ def _multiple_table(group: AbelianGroup, k: int, dtype=np.intp) -> np.ndarray:
 
 def _orders(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
     """Orders of the elements with these canonical indices: the lcm of their coordinate orders."""
-    factors, places = _tables(group).radix
+    factors, places = group._radix
     # one rank x len(indices) array, overwritten by the coordinates, their gcds and their orders
     orders = indices // places
     np.remainder(orders, factors, out=orders)
@@ -429,7 +454,7 @@ def _coordinate_rows(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
     if group.rank == 1:
         return indices[..., None]
     # one array of the result's size and no other: each index over each place value, reduced
-    factors, places = _tables(group).radix
+    factors, places = group._radix
     rows = indices[..., None] // places.ravel()
     return np.remainder(rows, factors.ravel(), out=rows)
 
@@ -449,8 +474,8 @@ class _IndexTables:
 
     The one per-element table is `class_id`, the power class of every
     element, and `class_members` lists the classes once something reads
-    them.  Everything else is per power class, or computed at the indices
-    a caller asks about (_multiples, _orders, _valuations).
+    them.  Everything else is per power class; the O(1) facts they read,
+    like the maps at given indices (_multiples, _orders), live on the group.
     """
 
     def __init__(self, group: AbelianGroup) -> None:
@@ -530,8 +555,10 @@ class _IndexTables:
         same, and C_1 minus {a} = 2*(C_2 minus {b, -b}) iff the first and the
         last do.
         """
+        if self.group._transfer_indices is None:
+            raise ValueError(f"{self.group} does not have exactly one even factor")
         # the classes of the involution a and of the order-four element b
-        a, b = self.class_id[list(self.transfer_indices[:2])].tolist()
+        a, b = self.class_id[list(self.group._transfer_indices[:2])].tolist()
         # 2**valuation of each class's element order
         two_power = self.class_order & -self.class_order
         core = [i for i in np.flatnonzero(two_power == 4).tolist() if i != b]
@@ -558,7 +585,7 @@ class _IndexTables:
         in the narrowest signed type that holds +-|G| (int8 up to 127 elements);
         every product casts S to float64 or complex128, so it is exact.
         """
-        (factors, places), reps = self.radix, self.class_reps
+        (factors, places), reps = self.group._radix, self.class_reps
         coords, m = reps // places % factors, self.class_order
         # m * r_K is the identity, so each m * r_K,i / n_i is an integer
         scaled = coords * m // factors
@@ -574,29 +601,6 @@ class _IndexTables:
         """Sorted member indices of each power class: the stable argsort of class_id, split."""
         by_class = _frozen(np.argsort(self.class_id, kind="stable"))
         return tuple(np.split(by_class, np.cumsum(self.class_size)[:-1]))
-
-    # per-group constants, each O(1)
-
-    @cached_property
-    def radix(self) -> tuple[np.ndarray, np.ndarray]:
-        """The factors and the place value of each in a canonical index, as columns."""
-        factors = np.array(self.group.factors)[:, None]
-        return _frozen(factors), _frozen(self.group.order // np.cumprod(factors, axis=0))
-
-    @cached_property
-    def sylow2_cyclic(self) -> bool:
-        return sylow2_cyclic(self.group)
-
-    @cached_property
-    def transfer_pair(self) -> tuple[GroupElement, GroupElement]:
-        """The identity and the unique involution a: the pair of every positive verdict."""
-        return self.group.identity, unique_involution(self.group)
-
-    @cached_property
-    def transfer_indices(self) -> tuple[int, int, int]:
-        """Indices of the involution a and of the order-four pair b, -b (the pair only if 4 | |G|)."""
-        _, n, place = _even_axis(self.group)
-        return n // 2 * place, n // 4 * place, 3 * n // 4 * place
 
 
 @lru_cache(maxsize=GROUP_CACHE_SIZE)

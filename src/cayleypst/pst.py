@@ -33,6 +33,7 @@ from .groups import (
     subgroup_4m,
     sylow2_cyclic,
     two_part,
+    unique_involution,
 )
 from .spectra import delta, integral_spectrum
 from .walk import detect_pst_numeric
@@ -92,20 +93,17 @@ class PstReport:
         }
 
 
-def _positive(tables, conditions: dict[str, bool]) -> PstReport:
-    return PstReport(Verdict.PST, tables.transfer_pair, _TIME_LABEL, TRANSFER_TIME, conditions, ())
-
-
 def _negative(conditions: dict[str, bool], diagnostics: tuple[str, ...]) -> PstReport:
     return PstReport(Verdict.NO_PST, None, None, None, conditions, diagnostics)
 
 
-def _decided(tables, conditions: dict[str, bool]) -> PstReport:
-    """The verdict of a dict of conditions: transfer iff all of them hold."""
+def _decided(group: AbelianGroup, conditions: dict[str, bool]) -> PstReport:
+    """The verdict of a dict of conditions: transfer iff all of them hold, from 0 to a at pi/2."""
     failed = tuple([f"condition {name} failed" for name, ok in conditions.items() if not ok])
     if failed:
         return _negative(conditions, failed)
-    return _positive(tables, conditions)
+    pair = (group.identity, unique_involution(group))
+    return PstReport(Verdict.PST, pair, _TIME_LABEL, TRANSFER_TIME, conditions, ())
 
 
 def _valuation_buckets(connection_set: ConnectionSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,17 +133,17 @@ def scan_agrees(report: PstReport, detection) -> bool | None:
     return not claimed or detection.target == report.pair[1]
 
 
-def _member_conditions(tables, connection_set: ConnectionSet) -> dict[str, bool]:
+def _member_conditions(group: AbelianGroup, connection_set: ConnectionSet) -> dict[str, bool]:
     """The four conditions for d >= 2, member by member, for any connection set."""
-    a, b, b_inv = tables.transfer_indices
+    a, b, b_inv = group._transfer_indices
     members = connection_set.indices.tolist()
     c0, c1, c2 = _valuation_buckets(connection_set)
     core = c2[(c2 != b) & (c2 != b_inv)]
     return {
         "power_closed": is_power_closed(connection_set),
         "exactly_one_of_a_b": (a in members) != (b in members),
-        "c0_equals_4c2": _same_set(c0, _multiples(tables.group, 4, core)),
-        "c1_equals_2c2": _same_set(c1[c1 != a], _multiples(tables.group, 2, core)),
+        "c0_equals_4c2": _same_set(c0, _multiples(group, 4, core)),
+        "c1_equals_2c2": _same_set(c1[c1 != a], _multiples(group, 2, core)),
     }
 
 
@@ -184,35 +182,28 @@ def characterize_pst(group: AbelianGroup, connection_set: ConnectionSet) -> PstR
     set that is not power-closed is checked member by member.
     """
     _require_bound_set(group, connection_set)
-    tables = _tables(group)
     # the class route first: it is the census's and most sweeps' case
-    if group.d >= 2 and tables.sylow2_cyclic and is_power_closed(connection_set):
-        return _decided(tables, _class_conditions(tables, _class_mask(connection_set)))
-    if not tables.sylow2_cyclic:
-        return PstReport(
-            Verdict.OUT_OF_SCOPE,
-            None,
-            None,
-            None,
-            {},
-            (f"the Sylow-2-subgroup of {group} is not cyclic; the characterization does not apply",),
-        )
+    if group.d >= 2 and group._sylow2_cyclic and is_power_closed(connection_set):
+        return _decided(group, _class_conditions(_tables(group), _class_mask(connection_set)))
+    if not group._sylow2_cyclic:
+        scope = f"the Sylow-2-subgroup of {group} is not cyclic; the characterization does not apply"
+        return PstReport(Verdict.OUT_OF_SCOPE, None, None, None, {}, (scope,))
     if group.d == 0:
         return _negative(
             {"odd_order_case": False},
             ("a Cayley graph of an odd-order group never admits perfect state transfer",),
         )
     if group.d == 1:
-        if connection_set.indices.tolist() == [tables.transfer_indices[0]]:
-            return _positive(tables, {"matching_case": True})
+        if connection_set.indices.tolist() == [group._transfer_indices[0]]:
+            return _decided(group, {"matching_case": True})
         return _negative(
             {"matching_case": False},
             (
                 "for groups of order 2m with m odd, only the perfect matching "
-                f"C = {{{tables.transfer_pair[1]}}} admits transfer",
+                f"C = {{{unique_involution(group)}}} admits transfer",
             ),
         )
-    return _decided(tables, _member_conditions(tables, connection_set))
+    return _decided(group, _member_conditions(group, connection_set))
 
 
 def check_4m_conditions(group: AbelianGroup, connection_set: ConnectionSet) -> PstReport:
@@ -226,8 +217,7 @@ def check_4m_conditions(group: AbelianGroup, connection_set: ConnectionSet) -> P
     _require_bound_set(group, connection_set)
     if not sylow2_cyclic(group) or group.d != 2:
         raise ValueError(f"{group} must have order 4m with m odd (d = 2 exactly)")
-    tables = _tables(group)
-    a, b, _ = tables.transfer_indices
+    a, b, _ = group._transfer_indices
     members = connection_set.indices.tolist()
     c0, c1, c2 = _valuation_buckets(connection_set)
     odd = _odd_component_multiplier(group)
@@ -240,7 +230,7 @@ def check_4m_conditions(group: AbelianGroup, connection_set: ConnectionSet) -> P
         "c0_equals_c1_star": _same_set(c0, c1_star[c1_star != 0]),
         "c0_equals_c2_star": _same_set(c0, c2_star[c2_star != 0]),
     }
-    return _decided(tables, conditions)
+    return _decided(group, conditions)
 
 
 def reduce_to_4m(
@@ -314,8 +304,7 @@ def parity_report(group: AbelianGroup, connection_set: ConnectionSet) -> ParityR
         raise ValueError(f"{group} needs a cyclic Sylow-2-subgroup of order >= 4")
     if not is_power_closed(connection_set):
         raise ValueError("parity facts require a power-closed connection set")
-    tables = _tables(group)
-    a, b, _ = tables.transfer_indices
+    a, b, _ = group._transfer_indices
     members = connection_set.indices.tolist()
     c0, c1, c2 = _valuation_buckets(connection_set)
     return ParityReport(

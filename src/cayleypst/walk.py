@@ -74,6 +74,14 @@ def adjacency_matrix(group: AbelianGroup, connection_set: ConnectionSet) -> np.n
     return indicator[_difference_index(group)]
 
 
+def _check_time(t: float, size: int) -> None:
+    """Refuse a time that is not finite, or whose bound t * |C| on every phase is not."""
+    if not math.isfinite(t):
+        raise ValueError(f"time {t!r} is not a finite number")
+    if not math.isfinite(t * size):
+        raise ValueError(f"time {t!r} is too large: the phase t * |C| overflows for |C| = {size}")
+
+
 def _row(
     group: AbelianGroup, connection_set: ConnectionSet, t: float
 ) -> tuple[np.ndarray, _IndexTables | None]:
@@ -81,16 +89,12 @@ def _row(
 
     One phase expression, exp(i * t * sums), reads the set's real, float64
     sums.  A power-closed set's are exact class sums (t would scale any
-    round-off); its slots are power classes and the tables the power-class
-    tables.  Any other set's slots are elements, by the FFT, and the tables
-    None.  No sum exceeds |C|, so a finite t * |C| bounds every phase.
+    round-off); its slots are power classes, indexed by the power-class
+    tables.  Any other set's slots are elements, by the FFT, with no tables.
     """
     _require_bound_set(group, connection_set)
     size = len(connection_set)
-    if not math.isfinite(t):
-        raise ValueError(f"time {t!r} is not a finite number")
-    if not math.isfinite(t * size):
-        raise ValueError(f"time {t!r} is too large: the phase t * |C| overflows for |C| = {size}")
+    _check_time(t, size)
     if not size:
         # the empty graph never moves
         return np.eye(1, group.order, dtype=np.complex128)[0], None
@@ -160,6 +164,7 @@ def dense_expm(
     """
     if group.order > DENSE_ORDER_CAP:
         raise CapExceededError(f"|{group}| = {group.order} exceeds the dense cap {DENSE_ORDER_CAP}")
+    _check_time(t, len(connection_set))
     values, vectors = np.linalg.eigh(adjacency_matrix(group, connection_set))
     # the real and imaginary parts, V diag(cos tw) V^T and V diag(sin tw) V^T, as real products
     entries = np.empty((group.order, group.order), dtype=np.complex128)

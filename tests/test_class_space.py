@@ -333,7 +333,7 @@ def test_class_conditions_equal_the_member_conditions(g, seed, with_a, with_b):
     c = near_transfer_set(g, random.Random(seed), with_a, with_b)
     tables = _tables(g)
     by_class = pst._class_conditions(tables, _class_mask(c))
-    by_member = pst._member_conditions(tables, c)
+    by_member = pst._member_conditions(g, c)
     assert list(by_class.items()) == list(by_member.items())
     assert all(type(ok) is bool for ok in by_class.values())
     # a set made from its class mask is the same set, with the same report
@@ -413,7 +413,7 @@ def test_off_the_class_route_the_criterion_and_scan_match_their_references(seed)
     rng = random.Random(seed)
     for c in (near_transfer_set(g, rng, True, False), random_class_union(g, rng)):
         assert character_criterion(g, c) == loop_character_criterion(g, c)
-        assert pst._class_conditions(tables, _class_mask(c)) == pst._member_conditions(tables, c)
+        assert pst._class_conditions(tables, _class_mask(c)) == pst._member_conditions(g, c)
         detection = detect_pst_numeric(g, c, math.pi / 2)
         assert pst.scan_agrees(characterize_pst(g, c), detection)
         expected = row_scan(g, _identity_row(g, c, math.pi / 2))

@@ -1,5 +1,6 @@
 """End-to-end command tests: output shapes, exit codes, determinism, round trips."""
 
+import hashlib
 import json
 import math
 import os
@@ -154,6 +155,51 @@ def test_the_empty_set_commands_print_pinned_text(capsys, spec):
     assert run_cli(capsys, "spectrum", "-g", spec, "-c", "{}") == (0, EMPTY_SPECTRUM % (spec, order), "")
     check = run_cli(capsys, "check", "-g", spec, "-c", "{}", "--cross-validate")
     assert check == (0, EMPTY_CHECK % spec, "")
+
+
+# sha256 of the stdout of one command per decision route (d = 0, the matching case d = 1 hit
+# and missed, out of scope, the class route, the member route) and of the class tables' commands
+PINNED_STDOUT = {
+    ("check", "-g", "Z9", "-c", "{3,6}"): "d614f62356db3e56fad679ce370b6d5c7d7148a86294c282d09fe060f2c49ae5",
+    ("check", "-g", "Z6", "-c", "{3}"): "2c49ae45de23adbfb9074dcf8ed6f6d261e1c0bf9bd0451d71a958bd4c5015b7",
+    ("check", "-g", "Z6", "-c", "{1,5}"): "ec2af18a10ba92fb6632273d7bc8dc779c2300635222aa26ecaff83e4baed327",
+    ("check", "-g", "Z2xZ4", "-c", "{(1,0),(0,2)}"): (
+        "66d081f3980c4049b1c9137627ccf73cd39f247ae0577f700159f6938ede59c1"
+    ),
+    ("check", "-g", "Z12", "-c", "{6}"): "eb2b7cca1f7ec4221ac34d5006b4a02328e0ccfe210a5043b07390f9d699c26a",
+    ("check", "-g", "Z4xZ3xZ3", "-c", "{(2,0,0)}"): (
+        "e50209e004d4a426a5e51a82f1e1a29b4e1d424d5dae43fb425b8d092ab5ca51"
+    ),
+    ("check", "-g", "Z12", "-c", "{1,11}"): "311aa4c45feb0966ac90832010493e79d2442975b18edd18bc73169bb1f41dd0",
+    ("spectrum", "-g", "Z4xZ3xZ3", "-c", "{(2,0,0)}"): (
+        "8c58920bbff3b4945a280d850ec15ff9ae514a93240c8da58332ab525c384242"
+    ),
+    ("classes", "-g", "Z4xZ3"): "af54b09b3c57ba8babb4212ef79abdfa02693898922496364f140aa9b25c92b9",
+    ("enumerate", "-g", "Z4xZ3"): "fdf5b588b529a3b9e1933e10e9243b9b4055396c1494c652625ca68fdaed2f2c",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT), ids=" ".join)
+def test_each_decision_route_prints_pinned_bytes(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+
+def test_the_cli_imports_only_numpy_and_the_standard_library():
+    # every command pays its imports at start-up: scipy.fft alone would cost about 0.34 s
+    script = (
+        "import sys, numpy\n"
+        "before = {name.partition('.')[0] for name in sys.modules}\n"
+        "import cayleypst.cli\n"
+        "print(*sorted({name.partition('.')[0] for name in sys.modules} - before))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cayleypst.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "cayleypst" in loaded and loaded - {"cayleypst"} <= sys.stdlib_module_names, loaded
 
 
 def test_spectrum_non_integral_exits_1(capsys):

@@ -569,10 +569,9 @@ def check_transfer_elements(g):
     if len(involutions) != 1:
         with pytest.raises(ValueError):
             groups.unique_involution(g)
-        with pytest.raises(ValueError):
-            _tables(g).transfer_indices
+        assert g._transfer_indices is None
         return
-    indices = _tables(g).transfer_indices
+    indices = g._transfer_indices
     assert groups.unique_involution(g) == involutions[0]
     assert indices[0] == g.index_of(involutions[0])
     if len(order_four) != 2:
@@ -586,8 +585,42 @@ def check_transfer_elements(g):
 def test_transfer_indices_are_the_transfer_elements():
     small = [f for f in all_factor_lists(128) if sum(n % 2 == 0 for n in f) <= 1]
     assert len(small) == 601
-    for factors in [*small, (4194304,), (2, 2097152)]:
+    # the facts take no order cap: Z2^40 is far above it
+    for factors in [*small, (4194304,), (2, 2097152), (1 << 40,), (1 << 40, 3)]:
         check_transfer_elements(AbelianGroup(factors))
+
+
+def test_the_index_maps_answer_past_the_cap():
+    # the maps at given indices read the group's facts, and only the index tables take the cap
+    g = AbelianGroup((1 << 40,))
+    indices = np.array([1, 6, 3 << 20, 5 << 37, (1 << 40) - 1])
+    for k in (2, 3, 4):
+        assert groups._multiples(g, k, indices).tolist() == [k * i % g.order for i in indices.tolist()]
+    # valuations of the orders, read off each element's own Python-int order
+    expected = [two_part(g.element_at(i).order)[0] for i in indices.tolist()]
+    assert groups._valuations(g, indices).tolist() == expected == [40, 39, 20, 3, 40]
+    with pytest.raises(CapExceededError, match=f"above the cap of {MAX_ORDER}"):
+        _tables(g)
+
+
+def test_validation_and_the_member_maps_build_no_index_tables():
+    _tables.cache_clear()
+    g = group("Z4xZ3xZ7")
+    c = ConnectionSet.from_coordinates(g, [[1, 0, 0], [3, 0, 0], [0, 1, 2], [0, 2, 5]])
+    assert ConnectionSet(g, c.elements) == ConnectionSet.from_elements(g, c.elements) == c
+    assert sorted(partition_by_two_part(c)) == [0, 2]
+    assert scalar_multiple_set(2, c) == {elem(g, 2, 0, 0), elem(g, 0, 2, 4), elem(g, 0, 1, 3)}
+    assert _tables.cache_info().misses == 0
+
+
+def test_a_group_pickles_as_its_factors():
+    g = AbelianGroup((8, 3))
+    # the facts' arrays are not pickled: a copy computes them again from the factors
+    assert b"numpy" not in pickle.dumps(g)
+    for copied in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert copied == g and copied._transfer_indices == g._transfer_indices == (12, 6, 18)
+        for mine, theirs in zip(copied._radix, g._radix):
+            assert np.array_equal(mine, theirs) and not mine.flags.writeable
 
 
 @pytest.mark.parametrize("spec", ["Z255255", "Z4xZ3xZ5xZ7xZ11", "Z9xZ3xZ5xZ49"])

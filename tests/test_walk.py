@@ -197,16 +197,34 @@ def test_identity_row_is_a_unit_vector_at_every_time(spec):
         assert abs(np.linalg.norm(_identity_row(g, c, t)) - 1) < 1e-9, t
 
 
+def walk_routes(g, c, t):
+    """Every route that walks g's graph on c for time t, each as a call of no arguments."""
+    return [
+        lambda: transition_amplitude(g, c, g.identity, elem(g, 4), t),
+        lambda: detect_pst_numeric(g, c, t),
+        lambda: is_periodic_numeric(g, c, t),
+        lambda: transition_matrix(g, c, t),
+        # the oracle too: a NaN matrix flags no gap, since nan > tol is False
+        lambda: dense_expm(g, c, t),
+    ]
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("literal", [[], [(1,), (7,)]])
 def test_a_time_that_is_not_finite_is_refused_as_such(t, literal):
     z8 = group("Z8")
     c = cset(z8, literal)
-    message = f"time {t!r} is not a finite number"
-    with pytest.raises(ValueError, match=message):
-        transition_amplitude(z8, c, z8.identity, elem(z8, 4), t)
-    with pytest.raises(ValueError, match=message):
-        detect_pst_numeric(z8, c, t)
+    for route in walk_routes(z8, c, t):
+        with pytest.raises(ValueError, match=f"time {t!r} is not a finite number"):
+            route()
+
+
+def test_a_time_whose_phase_overflows_is_refused_as_such():
+    z8 = group("Z8")
+    message = r"time 1e\+308 is too large: the phase t \* \|C\| overflows for \|C\| = 2"
+    for route in walk_routes(z8, cset(z8, [(1,), (7,)]), 1e308):
+        with pytest.raises(ValueError, match=message):
+            route()
 
 
 def test_dense_cap():
