@@ -11,9 +11,10 @@ ConnectionSet is held as the sorted array of its members' indices, and the
 set algebra (validation, power-closure, valuation buckets, scalar
 multiples) runs on numpy index arrays.  A group holds the O(1) facts of
 its factors, computed with it: whether its Sylow-2-subgroup is cyclic, the
-place values of an index and the indices of a, b and -b.  From those, negation,
-element orders and their 2-adic valuations, and the x2, x4 and odd-part
-maps are computed at the indices asked about.  The group's index tables
+place values of an index, its even factor Z_n when it has just one (the even
+axis), and the indices of a, b and -b on that axis.  From those, negation,
+element orders and their 2-adic valuations, and the x2, x4 and odd-part maps
+are computed at the indices asked about.  The group's index tables
 (_tables) hold one table over all its elements, the power-class ids (and
 the class member lists once read), and per power class its least member,
 its element order (both found with the ids), the exact class-sum matrix of
@@ -75,18 +76,22 @@ class AbelianGroup:
     # groups key every per-group cache, so the hash is computed once
     _hash: int = field(init=False, repr=False)
     # O(1) facts of the factors, capped by no order: whether the Sylow-2-subgroup is cyclic,
-    # the factors and the place value of each in an index as read-only columns, and the
-    # indices of the involution a and of b, -b (b only if 4 | |G|; None unless one factor is even)
+    # the factors and place values of an index as read-only columns, and, if exactly one factor
+    # Z_n is even (else None), its even axis (position, n, place value p) and the indices
+    # n/2 p of the involution a and n/4 p, 3n/4 p of b, -b (b only if 4 | |G|)
     _sylow2_cyclic: bool = field(init=False, repr=False)
     _radix: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _even_axis: tuple[int, int, int] | None = field(init=False, repr=False)
     _transfer_indices: tuple[int, int, int] | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        try:
-            factors = tuple(map(operator.index, self.factors))
-        except TypeError:
-            bad = next(n for n in self.factors if not hasattr(n, "__index__"))
-            raise ValueError(f"a cyclic factor order must be an integer, got {bad!r}") from None
+        if not isinstance(self.factors, Iterable):
+            raise ValueError(f"a group needs a sequence of factors, got {self.factors!r}")
+        factors = tuple(self.factors)
+        bad = [n for n in factors if not hasattr(n, "__index__")]
+        if bad:
+            raise ValueError(f"a cyclic factor order must be an integer, got {bad[0]!r}")
+        factors = tuple(map(operator.index, factors))
         if not factors:
             raise ValueError("a group needs at least one cyclic factor")
         bad = [n for n in factors if n < 2]
@@ -107,10 +112,12 @@ class AbelianGroup:
         places = list(itertools.accumulate(factors[:0:-1], operator.mul, initial=1))[::-1]
         radix = tuple(_frozen(np.array(column)[:, None]) for column in (factors, places))
         object.__setattr__(self, "_radix", radix)
-        transfer = None
+        axis = transfer = None
         if len(evens) == 1:
-            n, place = factors[evens[0]], places[evens[0]]
-            transfer = n // 2 * place, n // 4 * place, 3 * n // 4 * place
+            j = evens[0]
+            axis = j, factors[j], places[j]
+            transfer = tuple(k * factors[j] // 4 * places[j] for k in (2, 1, 3))
+        object.__setattr__(self, "_even_axis", axis)
         object.__setattr__(self, "_transfer_indices", transfer)
 
     def __eq__(self, other) -> bool:
@@ -321,18 +328,9 @@ def sylow2_cyclic(group: AbelianGroup) -> bool:
     return group._sylow2_cyclic
 
 
-def _even_axis(group: AbelianGroup) -> tuple[int, int, int]:
-    """Position, order n and place value p of the one even factor Z_n: a is n/2 * p, b is n/4 * p."""
-    evens = [i for i, n in enumerate(group.factors) if n % 2 == 0]
-    if len(evens) != 1:
-        raise ValueError(f"{group} does not have exactly one even factor")
-    j = evens[0]
-    return j, group.factors[j], math.prod(group.factors[j + 1 :])
-
-
 def unique_involution(group: AbelianGroup) -> GroupElement:
-    """The single element of order two (needs cyclic Sylow-2 and even order)."""
-    if not group._sylow2_cyclic or group.d < 1:
+    """The single element of order two (needs cyclic Sylow-2 and even order: one even factor)."""
+    if group._transfer_indices is None:
         raise ValueError(f"{group} has no unique element of order two")
     return group.element_at(group._transfer_indices[0])
 
@@ -342,7 +340,7 @@ def order_four_pair(group: AbelianGroup) -> tuple[GroupElement, GroupElement]:
 
     Exists exactly when the Sylow-2-subgroup is cyclic of order >= 4.
     """
-    if not group._sylow2_cyclic or group.d < 2:
+    if group._transfer_indices is None or group.d < 2:
         raise ValueError(f"{group} has no unique pair of elements of order four")
     _, b, b_inv = group._transfer_indices
     return group.element_at(b), group.element_at(b_inv)
@@ -913,9 +911,9 @@ class Subgroup4m:
 
 def subgroup_4m(group: AbelianGroup) -> Subgroup4m:
     """Embedding of the unique subgroup of order 4m (requires d >= 2)."""
-    if not sylow2_cyclic(group) or group.d < 2:
+    if group._transfer_indices is None or group.d < 2:
         raise ValueError(f"{group} has no subgroup of order 4m with m odd and d >= 2")
-    j = _even_axis(group)[0]
+    j = group._even_axis[0]
     scale = 1 << (group.d - 2)
     sub_factors = list(group.factors)
     sub_factors[j] //= scale

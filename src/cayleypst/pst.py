@@ -23,7 +23,6 @@ from .groups import (
     GroupElement,
     _class_mask,
     _divisor_functions,
-    _even_axis,
     _multiples,
     _odd_component_multiplier,
     _require_bound_set,
@@ -31,7 +30,6 @@ from .groups import (
     _valuations,
     is_power_closed,
     subgroup_4m,
-    sylow2_cyclic,
     two_part,
     unique_involution,
 )
@@ -106,11 +104,16 @@ def _decided(group: AbelianGroup, conditions: dict[str, bool]) -> PstReport:
     return PstReport(Verdict.PST, pair, _TIME_LABEL, TRANSFER_TIME, conditions, ())
 
 
-def _valuation_buckets(connection_set: ConnectionSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted member indices of C_0, C_1 and C_2 (element order 2**k * odd, k = 0, 1, 2)."""
-    indices = connection_set.indices
-    valuation = _valuations(connection_set.group, indices)
-    return indices[valuation == 0], indices[valuation == 1], indices[valuation == 2]
+def _member_buckets(connection_set: ConnectionSet) -> tuple:
+    """Whether a and b are in C, and the sorted member indices of C_0, C_1 and C_2.
+
+    C_k holds the members of order 2**k * odd; the group must have a and b (d >= 2).
+    C is inverse-closed, so b is a member exactly when -b is.
+    """
+    group, indices = connection_set.group, connection_set.indices
+    a, b, _ = group._transfer_indices
+    members, valuation = indices.tolist(), _valuations(group, indices)
+    return (a in members, b in members, *(indices[valuation == k] for k in (0, 1, 2)))
 
 
 def _same_set(sorted_indices: np.ndarray, values: np.ndarray) -> bool:
@@ -135,13 +138,12 @@ def scan_agrees(report: PstReport, detection) -> bool | None:
 
 def _member_conditions(group: AbelianGroup, connection_set: ConnectionSet) -> dict[str, bool]:
     """The four conditions for d >= 2, member by member, for any connection set."""
+    has_a, has_b, c0, c1, c2 = _member_buckets(connection_set)
     a, b, b_inv = group._transfer_indices
-    members = connection_set.indices.tolist()
-    c0, c1, c2 = _valuation_buckets(connection_set)
     core = c2[(c2 != b) & (c2 != b_inv)]
     return {
         "power_closed": is_power_closed(connection_set),
-        "exactly_one_of_a_b": (a in members) != (b in members),
+        "exactly_one_of_a_b": has_a != has_b,
         "c0_equals_4c2": _same_set(c0, _multiples(group, 4, core)),
         "c1_equals_2c2": _same_set(c1[c1 != a], _multiples(group, 2, core)),
     }
@@ -215,18 +217,16 @@ def check_4m_conditions(group: AbelianGroup, connection_set: ConnectionSet) -> P
     C_0 = C_1* minus {0} = C_2* minus {0}.
     """
     _require_bound_set(group, connection_set)
-    if not sylow2_cyclic(group) or group.d != 2:
+    if group._transfer_indices is None or group.d != 2:
         raise ValueError(f"{group} must have order 4m with m odd (d = 2 exactly)")
-    a, b, _ = group._transfer_indices
-    members = connection_set.indices.tolist()
-    c0, c1, c2 = _valuation_buckets(connection_set)
+    has_a, has_b, c0, c1, c2 = _member_buckets(connection_set)
     odd = _odd_component_multiplier(group)
     c1_star = _multiples(group, odd, c1)
     c2_star = _multiples(group, odd, c2)
     # the identity has index 0
     conditions = {
         "power_closed": is_power_closed(connection_set),
-        "exactly_one_of_a_b": (a in members) != (b in members),
+        "exactly_one_of_a_b": has_a != has_b,
         "c0_equals_c1_star": _same_set(c0, c1_star[c1_star != 0]),
         "c0_equals_c2_star": _same_set(c0, c2_star[c2_star != 0]),
     }
@@ -243,7 +243,7 @@ def reduce_to_4m(
     """
     _require_bound_set(group, connection_set)
     embedding = subgroup_4m(group)
-    place, scale = _even_axis(group)[2], embedding.scale
+    place, scale = group._even_axis[2], embedding.scale
     # an index is low + place * high with low < place; high, whose last place is the
     # even coordinate, is a multiple of scale exactly on a member, and high / scale relabels it
     high, low = np.divmod(connection_set.indices, place)
@@ -266,7 +266,9 @@ def character_criterion(group: AbelianGroup, connection_set: ConnectionSet) -> b
     spectrum = integral_spectrum(group, connection_set)
     if group.d == 0:
         return False
-    _, n, place = _even_axis(group)  # ValueError unless the Sylow-2-subgroup is cyclic
+    if group._even_axis is None:
+        raise ValueError(f"{group} does not have exactly one even factor")
+    _, n, place = group._even_axis
     # a is n/2 on the even factor Z_n and 0 elsewhere, so chi_j(a) = (-1)**j_e, with
     # j_e the character's coordinate on that factor; units are odd and n is even,
     # so j_e has one parity across a dual power class
@@ -300,18 +302,16 @@ def parity_report(group: AbelianGroup, connection_set: ConnectionSet) -> ParityR
     power-closed set.
     """
     _require_bound_set(group, connection_set)
-    if not sylow2_cyclic(group) or group.d < 2:
+    if group._transfer_indices is None or group.d < 2:
         raise ValueError(f"{group} needs a cyclic Sylow-2-subgroup of order >= 4")
     if not is_power_closed(connection_set):
         raise ValueError("parity facts require a power-closed connection set")
-    a, b, _ = group._transfer_indices
-    members = connection_set.indices.tolist()
-    c0, c1, c2 = _valuation_buckets(connection_set)
+    has_a, has_b, c0, c1, c2 = _member_buckets(connection_set)
     return ParityReport(
         c0_even=len(c0) % 2 == 0,
         c2_even=len(c2) % 2 == 0,
-        c1_odd_iff_a=(len(c1) % 2 == 1) == (a in members),
-        c2_div4_iff_no_b=(len(c2) % 4 == 0) == (b not in members),
+        c1_odd_iff_a=(len(c1) % 2 == 1) == has_a,
+        c2_div4_iff_no_b=(len(c2) % 4 == 0) == (not has_b),
     )
 
 
@@ -349,7 +349,7 @@ def enumerate_pst_sets(group: AbelianGroup) -> list[ConnectionSet]:
     CapExceededError.  The count found must be the closed form of
     _census_count, or RuntimeError is raised.
     """
-    if not sylow2_cyclic(group):
+    if not group._sylow2_cyclic:
         raise ValueError(f"{group} is out of scope: its Sylow-2-subgroup is not cyclic")
     tables = _tables(group)
     count = len(tables.class_size)

@@ -130,36 +130,77 @@ def brute_power_classes(g):
     return [frozenset(cls) for cls in by_subgroup.values()]
 
 
+# the four conditions for d >= 2, the facts of parity_report and those of check_4m_conditions,
+# each in the order its function reports them
+MEMBER_CONDITIONS = ("power_closed", "exactly_one_of_a_b", "c0_equals_4c2", "c1_equals_2c2")
+PARITY_FACTS = ("c0_even", "c2_even", "c1_odd_iff_a", "c2_div4_iff_no_b")
+CONDITIONS_4M = ("power_closed", "exactly_one_of_a_b", "c0_equals_c1_star", "c0_equals_c2_star")
+
+
+def brute_member_flags(g):
+    """The transfer flags of any set of elements of g, read element by element.
+
+    Returns a function of a set of members.  For d <= 1 it gives matching_case
+    (C = {a}); for d >= 2 the MEMBER_CONDITIONS and the PARITY_FACTS, and for
+    d = 2 the CONDITIONS_4M too, each named as the library names it.  Orders
+    come from brute_element_order, the power classes from brute_power_classes,
+    and the odd part of x is the multiple y of x of odd order with x - y of
+    2-power order.  The group must have a cyclic Sylow-2-subgroup.
+    """
+    orders = {x: brute_element_order(g, x) for x in g.elements()}
+    valuation = {x: two_part(n)[0] for x, n in orders.items()}
+    classes = brute_power_classes(g)
+    a = next((x for x, n in orders.items() if n == 2), None)
+    b, b_inv = [x for x, n in orders.items() if n == 4] if g.d >= 2 else (None, None)
+
+    def odd_part(x):
+        multiples = (k * x for k in range(orders[x]))
+        return next(y for y in multiples if orders[y] % 2 and two_part(orders[x - y])[1] == 1)
+
+    odd = {x: odd_part(x) for x in orders} if g.d == 2 else None
+
+    def flags(members):
+        if g.d <= 1:
+            return {"matching_case": g.d == 1 and members == {a}}
+        c0, c1, c2 = ({x for x in members if valuation[x] == k} for k in (0, 1, 2))
+        core = c2 - {b, b_inv}
+        has_a, has_b = a in members, b in members
+        found = {
+            "power_closed": all(cls <= members or cls.isdisjoint(members) for cls in classes),
+            "exactly_one_of_a_b": has_a != has_b,
+            "c0_equals_4c2": c0 == {4 * x for x in core},
+            "c1_equals_2c2": c1 - {a} == {2 * x for x in core},
+            "c0_even": len(c0) % 2 == 0,
+            "c2_even": len(c2) % 2 == 0,
+            "c1_odd_iff_a": (len(c1) % 2 == 1) == has_a,
+            "c2_div4_iff_no_b": (len(c2) % 4 == 0) == (not has_b),
+        }
+        if g.d == 2:
+            found["c0_equals_c1_star"] = c0 == {odd[x] for x in c1} - {g.identity}
+            found["c0_equals_c2_star"] = c0 == {odd[x] for x in c2} - {g.identity}
+        return found
+
+    return flags
+
+
 def brute_transfer_sets(g):
     """Census by the GroupElement mask loop, ordered like enumerate_pst_sets.
 
     Every union of non-identity power classes is built as a frozenset and
-    decided by the transfer conditions element by element (the group must
-    have a cyclic Sylow-2-subgroup); results are sorted by (size, sorted
-    class keys), each key being the class's lexicographically smallest
-    coordinates.
+    decided by the transfer conditions element by element (brute_member_flags;
+    the group must have a cyclic Sylow-2-subgroup); results are sorted by
+    (size, sorted class keys), each key being the class's lexicographically
+    smallest coordinates.
     """
     classes = brute_power_classes(g)
-    orders = {x: brute_element_order(g, x) for x in g.elements()}
-    a = next((x for x, n in orders.items() if n == 2), None)
-    b, b_inv = [x for x, n in orders.items() if n == 4] if g.d >= 2 else (None, None)
-
-    def transfers(members):
-        if g.d <= 1:
-            return g.d == 1 and members == {a}
-        buckets = {k: {x for x in members if two_part(orders[x])[0] == k} for k in (0, 1, 2)}
-        core = buckets[2] - {b, b_inv}
-        return (
-            (a in members) != (b in members)
-            and buckets[0] == {4 * x for x in core}
-            and buckets[1] - {a} == {2 * x for x in core}
-        )
-
+    flags = brute_member_flags(g)
+    conditions = MEMBER_CONDITIONS if g.d >= 2 else ("matching_case",)
     found = []
     for mask in range(1 << len(classes)):
         chosen = [cls for i, cls in enumerate(classes) if (mask >> i) & 1]
         members = frozenset().union(*chosen)
-        if transfers(members):
+        flagged = flags(members)
+        if all(flagged[name] for name in conditions):
             keys = tuple(sorted(min(x.coords for x in cls) for cls in chosen))
             found.append((len(members), keys, ConnectionSet(g, members)))
     found.sort(key=lambda item: item[:2])

@@ -69,6 +69,15 @@ def test_group_reads_each_factor_as_an_integer():
         assert str(err.value) == f"a cyclic factor order must be an integer, got {bad!r}"
     g = AbelianGroup((np.int64(4), 3))
     assert g == group("Z4xZ3") and all(type(n) is int for n in g.factors)
+    # a generator is read once, so its bad factor is still named
+    with pytest.raises(ValueError, match="must be an integer, got 4.5$"):
+        AbelianGroup(n for n in (4, 4.5))
+    # a factor list that is no sequence at all is refused with one error, not a chained TypeError
+    for bad in (4, None, 4.5):
+        with pytest.raises(ValueError) as err:
+            AbelianGroup(bad)
+        assert str(err.value) == f"a group needs a sequence of factors, got {bad!r}"
+        assert err.value.__cause__ is None and err.value.__context__ is None
 
 
 def test_two_part_examples():

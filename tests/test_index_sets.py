@@ -566,20 +566,28 @@ def check_transfer_elements(g):
     for x in map(g.element, killed_by_4):
         by_order.get(x.order, []).append(x)
     involutions, order_four = by_order[2], by_order[4]
+    if len(order_four) != 2:
+        # the subgroup of order 4m exists exactly when the order-four pair does
+        for needs_b in (groups.order_four_pair, groups.subgroup_4m):
+            with pytest.raises(ValueError):
+                needs_b(g)
     if len(involutions) != 1:
         with pytest.raises(ValueError):
             groups.unique_involution(g)
-        assert g._transfer_indices is None
+        assert g._transfer_indices is None and g._even_axis is None
         return
+    # the involution's one nonzero coordinate is n/2 on the even factor Z_n
+    (j,) = [i for i, coordinate in enumerate(involutions[0].coords) if coordinate]
+    n = 2 * involutions[0].coords[j]
+    assert g._even_axis == (j, n, math.prod(g.factors[j + 1 :])) and g.factors[j] == n
     indices = g._transfer_indices
     assert groups.unique_involution(g) == involutions[0]
     assert indices[0] == g.index_of(involutions[0])
     if len(order_four) != 2:
-        with pytest.raises(ValueError):
-            groups.order_four_pair(g)
         return
     assert list(groups.order_four_pair(g)) == order_four
     assert list(indices[1:]) == [g.index_of(x) for x in order_four]
+    assert groups.subgroup_4m(g).even_index == j
 
 
 def test_transfer_indices_are_the_transfer_elements():
@@ -619,6 +627,7 @@ def test_a_group_pickles_as_its_factors():
     assert b"numpy" not in pickle.dumps(g)
     for copied in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
         assert copied == g and copied._transfer_indices == g._transfer_indices == (12, 6, 18)
+        assert copied._even_axis == g._even_axis == (0, 8, 3)
         for mine, theirs in zip(copied._radix, g._radix):
             assert np.array_equal(mine, theirs) and not mine.flags.writeable
 

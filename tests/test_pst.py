@@ -1,5 +1,6 @@
 """The characterization engine: verdicts, reductions, criteria, enumeration."""
 
+import dataclasses
 import math
 import pickle
 import random
@@ -31,9 +32,14 @@ from cayleypst import (
 )
 import cayleypst.pst
 from conftest import (
+    CONDITIONS_4M,
+    MEMBER_CONDITIONS,
+    PARITY_FACTS,
+    brute_member_flags,
     class_unions,
     cset,
     group,
+    inverse_closed_subsets,
     loop_character_criterion,
     random_class_union,
     z433_transfer_sets,
@@ -150,6 +156,26 @@ def test_check_4m_agrees_with_general_characterization(spec):
     g = group(spec)
     for c in class_unions(g):
         assert check_4m_conditions(g, c).verdict == characterize_pst(g, c).verdict
+
+
+def test_member_level_flags_match_the_element_oracle():
+    # every inverse-closed set, most of them not power-closed, so the member route decides them
+    checked = 0
+    for spec in ("Z4", "Z8", "Z12", "Z4xZ3", "Z16", "Z20", "Z8xZ3"):
+        g = group(spec)
+        flags = brute_member_flags(g)
+        for c in inverse_closed_subsets(g):
+            checked += 1
+            expected = flags(c.elements)
+            found = cayleypst.pst._member_conditions(g, c)
+            assert list(found.items()) == [(name, expected[name]) for name in MEMBER_CONDITIONS]
+            if g.d == 2:
+                found = check_4m_conditions(g, c).conditions
+                assert list(found.items()) == [(name, expected[name]) for name in CONDITIONS_4M]
+            if expected["power_closed"]:
+                found = dataclasses.asdict(parity_report(g, c))
+                assert list(found.items()) == [(name, expected[name]) for name in PARITY_FACTS]
+    assert checked == 5524
 
 
 def test_reduce_to_4m_examples():
