@@ -218,8 +218,9 @@ def _edges(group: AbelianGroup, cset: ConnectionSet) -> np.ndarray:
 
 def _cmd_export(args, group: AbelianGroup, cset: ConnectionSet) -> tuple[dict | Iterable[str], int]:
     if args.format == "adjacency":
-        # an int8 indicator gathered through the index table: no float |G| x |G| matrix
-        adjacency = _indicator(group, cset).astype(np.int8)[_difference_index(group)]
+        # the index table, and its cap, before the int8 indicator: no float |G| x |G| matrix
+        index = _difference_index(group)
+        adjacency = _indicator(group, cset).astype(np.int8)[index]
         return format_rows(adjacency, " ".join(["%d"] * group.order) + "\n", ""), 0
     # the coordinates of both ends of every edge, shape (edges, 2, rank)
     ends = _coordinate_rows(group, _edges(group, cset))

@@ -21,7 +21,8 @@ its element order (both found with the ids), the exact class-sum matrix of
 its characters and what the transfer conditions read, each built on first
 use in the narrowest integer type that holds it.  The ids take O(|G|)
 memory, so the tables and set building refuse groups of more than
-MAX_ORDER elements; the facts take no cap.
+MAX_ORDER elements; the facts take no cap.  MAX_ORDER is the one size
+budget: _check_cap reads it before |G|, |G|^2 or 2^classes of work.
 """
 
 from __future__ import annotations
@@ -292,22 +293,22 @@ def _require_bound_set(group: AbelianGroup, connection_set: ConnectionSet) -> No
         )
 
 
+def _check_cap(group: AbelianGroup, entries: int, what: str) -> None:
+    """The one size rule, read before the work it guards: refuse `entries` above MAX_ORDER."""
+    if entries > MAX_ORDER:
+        message = f"{group} has {what} above the cap of {MAX_ORDER} (cayleypst.groups.MAX_ORDER)"
+        raise CapExceededError(message)
+
+
 def check_order(group: AbelianGroup) -> None:
     """Raise CapExceededError when the group is too large for index tables (MAX_ORDER)."""
-    if group.order > MAX_ORDER:
-        raise CapExceededError(
-            f"{group} has {group.order} elements, above the cap of {MAX_ORDER} "
-            "(cayleypst.groups.MAX_ORDER)"
-        )
+    _check_cap(group, group.order, f"{group.order} elements,")
 
 
 def check_square(group: AbelianGroup) -> None:
     """Raise CapExceededError when a |G| x |G| matrix would have more than MAX_ORDER entries."""
-    if group.order**2 > MAX_ORDER:
-        raise CapExceededError(
-            f"{group} has {group.order} elements, too many for a |G| x |G| matrix: "
-            f"|G|^2 is above the cap of {MAX_ORDER} (cayleypst.groups.MAX_ORDER)"
-        )
+    what = f"{group.order} elements, too many for a |G| x |G| matrix: |G|^2 is"
+    _check_cap(group, group.order**2, what)
 
 
 def _canonical_elements(group: AbelianGroup) -> Iterator[GroupElement]:

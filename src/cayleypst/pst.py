@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (
-    MAX_ORDER,
     AbelianGroup,
-    CapExceededError,
     ConnectionSet,
     GroupElement,
+    _check_cap,
     _class_mask,
     _divisor_functions,
     _multiples,
@@ -28,9 +27,9 @@ from .groups import (
     _require_bound_set,
     _tables,
     _valuations,
+    check_order,
     is_power_closed,
     subgroup_4m,
-    two_part,
     unique_involution,
 )
 from .spectra import delta, integral_spectrum
@@ -315,26 +314,28 @@ def parity_report(group: AbelianGroup, connection_set: ConnectionSet) -> ParityR
     )
 
 
-def _census_count(group: AbelianGroup) -> int:
-    """How many power-closed connection sets admit transfer: 2^(N(d-1)), or 0 for odd order.
+def _odd_cyclic_subgroups(group: AbelianGroup) -> int:
+    """N, the number of cyclic subgroups of the odd part, read from the factors alone.
 
-    N is the number of cyclic subgroups of the odd part, read from the
-    factors alone: an element of order m generates a cyclic subgroup with
-    phi(m) generators, and the elements whose order divides e number the
-    product of gcd(e, n_i), so Moebius inversion counts those of order m.
-    The group needs a cyclic Sylow-2-subgroup.
+    An element of order m generates a cyclic subgroup with phi(m) generators,
+    and the elements whose order divides e number the product of gcd(e, n_i),
+    so Moebius inversion counts those of order m.  The group needs a cyclic
+    Sylow-2-subgroup, of order 2^d; it then has N(d+1) power classes.
     """
-    if group.d == 0:
-        return 0
-    odd_exponent = two_part(math.lcm(*group.factors))[1]
+    # the one even factor holds all of 2^d, so the exponent's odd part is lcm / 2^d
+    odd_exponent = math.lcm(*group.factors) >> group.d
     divisors, mu, phi = (row.tolist() for row in _divisor_functions(odd_exponent))
     moebius = dict(zip(divisors, mu))
     dividing = {e: math.prod(math.gcd(e, n) for n in group.factors) for e in divisors}
-    cyclic = sum(
+    return sum(
         sum(moebius[m // e] * dividing[e] for e in divisors if m % e == 0) // totient
         for m, totient in zip(divisors, phi)
     )
-    return 1 << (cyclic * (group.d - 1))
+
+
+def _census_count(group: AbelianGroup) -> int:
+    """How many power-closed connection sets admit transfer: 2^(N(d-1)), or 0 for odd order."""
+    return 1 << (_odd_cyclic_subgroups(group) * (group.d - 1)) if group.d else 0
 
 
 def enumerate_pst_sets(group: AbelianGroup) -> list[ConnectionSet]:
@@ -345,19 +346,18 @@ def enumerate_pst_sets(group: AbelianGroup) -> list[ConnectionSet]:
     pi/2; any disagreement raises CrossValidationError carrying the
     counterexample.  A scan reads the k class amplitudes, so it costs the
     same at every order.  Results are ordered by (size, lexicographic class
-    keys).  A group with 2^classes above groups.MAX_ORDER raises
-    CapExceededError.  The count found must be the closed form of
-    _census_count, or RuntimeError is raised.
+    keys).  A group with more than groups.MAX_ORDER elements, or with
+    2^classes above it, raises CapExceededError before any table is built:
+    the class count, N(d+1), comes from the factors.  The count found must
+    be the closed form of _census_count, or RuntimeError is raised.
     """
     if not group._sylow2_cyclic:
         raise ValueError(f"{group} is out of scope: its Sylow-2-subgroup is not cyclic")
+    # the order first: counting a huge factor's divisors is trial division
+    check_order(group)
+    count = _odd_cyclic_subgroups(group) * (group.d + 1)
+    _check_cap(group, 1 << count, f"{count} power classes, and 2^{count} is")
     tables = _tables(group)
-    count = len(tables.class_size)
-    if 1 << count > MAX_ORDER:
-        raise CapExceededError(
-            f"{group} has {count} power classes, and 2^{count} is "
-            f"above the cap of {MAX_ORDER} (cayleypst.groups.MAX_ORDER)"
-        )
     # the identity is power class 0, never chosen: bit i of candidate n marks class i + 1
     total = 1 << (count - 1)
     # a class's key is its least member's index

@@ -3,7 +3,8 @@
 Two independent routes to the transition matrix exp(i*t*A): a closed form
 through the character decomposition, and a dense symmetric eigendecomposition
 of the adjacency matrix.  The dense route shares no character machinery and
-serves as the low-tech cross-check for everything else.
+serves as the low-tech cross-check for everything else.  Each |G| x |G|
+matrix is refused above 2048 vertices, by check_square, before any work.
 
 The character route needs only the row at the identity vertex.  For a
 power-closed set it is constant on power classes (multiplying by a unit is a
@@ -23,7 +24,6 @@ import numpy as np
 
 from .groups import (
     AbelianGroup,
-    CapExceededError,
     ConnectionSet,
     GroupElement,
     _IndexTables,
@@ -36,7 +36,6 @@ from .groups import (
 from .spectra import _character_transform, _class_transform, _indicator, _sums
 from .spectra import character_table  # noqa: F401  (perfbench/tracer.py rebinds walk.character_table)
 
-DENSE_ORDER_CAP = 512
 # An identity row is a unit vector, so at most one entry can reach 1 - _SCAN_TOL,
 # and such an entry leaves the diagonal a modulus of at most sqrt(2 * _SCAN_TOL):
 # a diagonal entry above _DIAGONAL_BOUND settles the scan with no hit.
@@ -70,8 +69,8 @@ def _difference_index(group: AbelianGroup) -> np.ndarray:
 
 def adjacency_matrix(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray:
     """0/1 adjacency matrix in canonical vertex order: A[g, h] = 1 iff h - g in C."""
-    indicator = _indicator(group, connection_set)
-    return indicator[_difference_index(group)]
+    index = _difference_index(group)
+    return _indicator(group, connection_set)[index]
 
 
 def _check_time(t: float, size: int) -> None:
@@ -146,8 +145,8 @@ def transition_amplitude(
 
 def transition_matrix(group: AbelianGroup, connection_set: ConnectionSet, t: float) -> TransitionMatrix:
     """Full transition matrix via characters; entry (g, h) depends only on h - g."""
-    row = _identity_row(group, connection_set, t)
-    return TransitionMatrix(group, float(t), row[_difference_index(group)])
+    index = _difference_index(group)
+    return TransitionMatrix(group, float(t), _identity_row(group, connection_set, t)[index])
 
 
 def dense_expm(
@@ -159,11 +158,9 @@ def dense_expm(
 
     A is real symmetric, so A = V diag(w) V^T with V orthogonal and
     exp(i*t*A) = V diag(exp(i*t*w)) V^T.  No character code is involved; this
-    is the cross-validation oracle.  Groups above DENSE_ORDER_CAP vertices
-    raise CapExceededError.
+    is the cross-validation oracle.  Like every |G| x |G| matrix it is
+    refused above 2048 vertices, by adjacency_matrix, before any is built.
     """
-    if group.order > DENSE_ORDER_CAP:
-        raise CapExceededError(f"|{group}| = {group.order} exceeds the dense cap {DENSE_ORDER_CAP}")
     _check_time(t, len(connection_set))
     values, vectors = np.linalg.eigh(adjacency_matrix(group, connection_set))
     # the real and imaginary parts, V diag(cos tw) V^T and V diag(sin tw) V^T, as real products

@@ -1,5 +1,7 @@
 """The census against its closed form, and what the sets it returns keep."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,51 @@ def test_the_closed_form_needs_no_census():
     assert pst._census_count(g) == 2 ** 8 == 256
     with pytest.raises(CapExceededError):
         enumerate_pst_sets(g)
+
+
+def test_the_factors_count_the_power_classes():
+    # with a cyclic Sylow-2-subgroup of order 2^d, N(d+1) classes, where N counts the odd part's
+    wide = ["Z4x" + "x".join(["Z3"] * 5), "Z4194304", "Z2x" + "x".join(["Z3"] * 10)]
+    listed = [g for g in small_groups(256) if groups.sylow2_cyclic(g)]
+    assert len(listed) == 732
+    for g in listed + [group(spec) for spec in wide + ["Z8xZ9xZ25xZ7", "Z64xZ9xZ7"]]:
+        assert pst._odd_cyclic_subgroups(g) * (g.d + 1) == len(_tables(g).class_size), g
+
+
+@pytest.mark.parametrize(
+    "spec, count", [("Z4194304", 23), ("Z4x" + "x".join(["Z3"] * 10), 88575)]
+)
+def test_the_census_refuses_before_it_builds_a_table(spec, count):
+    _tables.cache_clear()
+    g = group(spec)
+    message = (
+        f"{spec} has {count} power classes, and 2^{count} is above the cap of "
+        f"{groups.MAX_ORDER} (cayleypst.groups.MAX_ORDER)"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError) as err:
+            enumerate_pst_sets(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == message
+    assert peak < 1 << 20
+    assert "class_id" not in vars(_tables(g))
+
+
+def test_a_group_above_the_order_cap_is_refused_before_its_classes_are_counted(monkeypatch):
+    # counting the classes of Z4xZ(10^18 + 3) would trial-divide its prime factor
+    def refused(group):
+        raise AssertionError("the classes were counted")
+
+    monkeypatch.setattr(pst, "_odd_cyclic_subgroups", refused)
+    g = AbelianGroup((4, 10**18 + 3))
+    with pytest.raises(CapExceededError) as err:
+        enumerate_pst_sets(g)
+    assert str(err.value) == (
+        f"{g} has {g.order} elements, above the cap of {groups.MAX_ORDER} (cayleypst.groups.MAX_ORDER)"
+    )
 
 
 def test_a_count_off_the_closed_form_is_an_internal_error(monkeypatch):

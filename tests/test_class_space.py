@@ -229,7 +229,7 @@ def test_production_never_reads_the_character_table(monkeypatch, capsys):
 
 
 def test_character_table_is_capped_like_every_square_matrix():
-    assert groups.CapExceededError is walk.CapExceededError is cayleypst.CapExceededError
+    assert groups.CapExceededError is cayleypst.CapExceededError
     for spec in ("Z4096", "Z65536"):
         with pytest.raises(CapExceededError) as err:
             character_table(group(spec))

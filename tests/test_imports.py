@@ -1,4 +1,4 @@
-"""Source hygiene: every module reads each name it imports."""
+"""Source hygiene: every module reads each name it imports, and one rule raises every size cap."""
 
 import ast
 from pathlib import Path
@@ -36,3 +36,42 @@ def test_every_module_reads_what_it_imports():
         }
         unread |= {f"{path.stem}.{name}" for name in imported - read}
     assert unread - TRACER_SITES == set()
+
+
+def docstrings(tree):
+    """The docstring constants of a module and of its classes and functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                yield body[0].value
+
+
+def named(node):
+    """The name a node reads or imports, the text of a string constant, or ''."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return ""
+
+
+def test_one_rule_raises_every_size_cap():
+    # groups._check_cap is the only raise of CapExceededError, and only groups reads MAX_ORDER
+    raises, readers = [], set()
+    for path in sorted(Path(cayleypst.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skipped = {id(node) for node in docstrings(tree)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "CapExceededError":
+                    raises.append(path.stem)
+            if id(node) not in skipped and "MAX_ORDER" in named(node):
+                readers.add(path.stem)
+    assert raises == ["groups"]
+    assert readers == {"groups"}

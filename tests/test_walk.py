@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from cayleypst import (
     transition_matrix,
 )
 from cayleypst import spectra
+from cayleypst.groups import MAX_ORDER, _tables
 from cayleypst.spectra import _indicator
-from cayleypst.walk import DENSE_ORDER_CAP, _difference_index, _identity_row
+from cayleypst.walk import _difference_index, _identity_row
 from conftest import class_unions, cset, elem, group, random_class_union
 
 
@@ -227,11 +229,47 @@ def test_a_time_whose_phase_overflows_is_refused_as_such():
             route()
 
 
-def test_dense_cap():
-    g = group(f"Z{2 * DENSE_ORDER_CAP}")
-    c = cset(g, [(DENSE_ORDER_CAP,)])
-    with pytest.raises(CapExceededError, match=f"exceeds the dense cap {DENSE_ORDER_CAP}"):
-        dense_expm(g, c, 1.0)
+def square_cap_message(order):
+    return (
+        f"Z{order} has {order} elements, too many for a |G| x |G| matrix: "
+        f"|G|^2 is above the cap of {MAX_ORDER} (cayleypst.groups.MAX_ORDER)"
+    )
+
+
+def test_the_dense_oracle_takes_the_square_budget():
+    # no cap of its own: 1024 vertices run, and 4096 are refused like every |G| x |G| matrix
+    z1024 = group("Z1024")
+    c = cset(z1024, [(1,), (1023,), (512,)])
+    dense = dense_expm(z1024, c, math.pi / 2).entries
+    assert np.abs(dense - transition_matrix(z1024, c, math.pi / 2).entries).max() < 1e-9
+    z4096 = group("Z4096")
+    with pytest.raises(CapExceededError) as err:
+        dense_expm(z4096, cset(z4096, [(2048,)]), 1.0)
+    assert str(err.value) == square_cap_message(4096)
+
+
+@pytest.mark.parametrize("order", [4096, MAX_ORDER])
+def test_square_matrices_are_refused_before_their_work(order):
+    _tables.cache_clear()
+    g = group(f"Z{order}")
+    # {b, -b}: power-closed, so its walk row would read the class ids
+    c = cset(g, [(order // 4,), (3 * order // 4,)])
+    builds = {
+        "adjacency_matrix": lambda: adjacency_matrix(g, c),
+        "transition_matrix": lambda: transition_matrix(g, c, 1.0),
+        "dense_expm": lambda: dense_expm(g, c, 1.0),
+    }
+    for name, build in builds.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError) as err:
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == square_cap_message(order), name
+        assert peak < 1 << 20, name
+    assert "class_id" not in vars(_tables(g))
 
 
 def test_square_matrices_are_capped_at_max_order_entries():
