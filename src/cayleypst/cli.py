@@ -109,10 +109,6 @@ def _load_connection_set(group: AbelianGroup, text: str) -> ConnectionSet:
     return parse_connection_set(group, text)
 
 
-def _coords_list(connection_set: ConnectionSet) -> np.ndarray:
-    return _coordinate_rows(connection_set.group, connection_set.indices)
-
-
 def _emit(document: dict | Iterable[str], args) -> None:
     """Write a JSON document, or text given as pieces, to stdout or the --out file, piece by piece."""
     text = chain(pieces(document), ("\n",)) if isinstance(document, dict) else document
@@ -127,7 +123,7 @@ def _cmd_check(args, group: AbelianGroup, cset: ConnectionSet) -> tuple[dict, in
     report = characterize_pst(group, cset)
     document = {
         "group": str(group),
-        "connection_set": _coords_list(cset),
+        "connection_set": _coordinate_rows(group, cset.indices),
         "loops_allowed": cset.loops_allowed,
         "report": report.to_json_dict(),
     }
@@ -151,7 +147,7 @@ def _cmd_spectrum(args, group: AbelianGroup, cset: ConnectionSet) -> tuple[dict,
     spectrum = integral_spectrum(group, cset)
     document = {
         "group": str(group),
-        "connection_set": _coords_list(cset),
+        "connection_set": _coordinate_rows(group, cset.indices),
         "spectrum": spectrum.to_json_dict(),
     }
     return document, 0
@@ -164,7 +160,7 @@ def _cmd_walk(args, group: AbelianGroup, cset: ConnectionSet) -> tuple[dict, int
     amplitude = transition_amplitude(group, cset, source, target, value)
     document = {
         "group": str(group),
-        "connection_set": _coords_list(cset),
+        "connection_set": _coordinate_rows(group, cset.indices),
         "time": label,
         "time_value": value,
         "source": list(source.coords),
@@ -183,7 +179,10 @@ def _cmd_enumerate(args, group: AbelianGroup) -> tuple[dict, int]:
     sets = enumerate_pst_sets(group)
     # a generator: each set's coordinates and report are made as its text is written
     entries = (
-        {"connection_set": _coords_list(cset), "report": characterize_pst(group, cset).to_json_dict()}
+        {
+            "connection_set": _coordinate_rows(group, cset.indices),
+            "report": characterize_pst(group, cset).to_json_dict(),
+        }
         for cset in sets
     )
     return {"group": str(group), "cross_validate": True, "count": len(sets), "sets": entries}, 0
@@ -205,7 +204,7 @@ def _cmd_classes(args, group: AbelianGroup) -> tuple[dict, int]:
 def _edges(group: AbelianGroup, cset: ConnectionSet) -> np.ndarray:
     """Pairs g < h of canonical vertex indices with h - g in C, one row each, sorted; O(|G| * |C|)."""
     # coordinate i of g + c, for g over the factor shape and c along a last axis
-    members = np.unravel_index(cset.indices, group.factors)
+    members = _coordinate_rows(group, cset.indices).T
     sums = [
         np.arange(n).reshape((1,) * i + (n,) + (1,) * (group.rank - i)) + c
         for i, (n, c) in enumerate(zip(group.factors, members))
@@ -228,7 +227,7 @@ def _cmd_export(args, group: AbelianGroup, cset: ConnectionSet) -> tuple[dict | 
         label = "(" + ",".join(["%d"] * group.rank) + ")"
         line = f'  "{label}" -- "{label}";'
         return chain(("graph cayley {\n",), format_rows(ends, line + "\n", ""), ("}\n",)), 0
-    return {"group": str(group), "set": _coords_list(cset), "edges": ends}, 0
+    return {"group": str(group), "set": _coordinate_rows(group, cset.indices), "edges": ends}, 0
 
 
 class _Parser(argparse.ArgumentParser):

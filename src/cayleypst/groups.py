@@ -6,23 +6,27 @@ subsets) defined here determine every graph the rest of the package studies.
 All values are immutable and safe to share.
 
 Each element also has a canonical index: the mixed-radix number of its
-coordinates, so index order is lexicographic coordinate order.  A
-ConnectionSet is held as the sorted array of its members' indices, and the
-set algebra (validation, power-closure, valuation buckets, scalar
-multiples) runs on numpy index arrays.  A group holds the O(1) facts of
-its factors, computed with it: whether its Sylow-2-subgroup is cyclic, the
-place values of an index, its even factor Z_n when it has just one (the even
-axis), and the indices of a, b and -b on that axis.  From those, negation,
-element orders and their 2-adic valuations, and the x2, x4 and odd-part maps
-are computed at the indices asked about.  The group's index tables
-(_tables) hold one table over all its elements, the power-class ids (and
-the class member lists once read), and per power class its least member,
-its element order (both found with the ids), the exact class-sum matrix of
-its characters and what the transfer conditions read, each built on first
-use in the narrowest integer type that holds it.  The ids take O(|G|)
-memory, so the tables and set building refuse groups of more than
-MAX_ORDER elements; the facts take no cap.  MAX_ORDER is the one size
-budget: _check_cap reads it before |G|, |G|^2 or 2^classes of work.
+coordinates, so index order is lexicographic coordinate order.  One codec
+turns integers into coordinates: _reduced reduces integer coordinates modulo
+the factors for every element operator, and _coordinate_rows is the one map
+from indices to coordinates.  A ConnectionSet is held as the sorted array of
+its members' indices, and the set algebra (validation, power-closure,
+valuation buckets, scalar multiples) runs on numpy index arrays.  A group
+holds the O(1) facts of its factors, computed with it: whether its
+Sylow-2-subgroup is cyclic, the place values of an index, its even factor
+Z_n when it has just one (the even axis), and the indices of a, b and -b on
+that axis.  From those, negation, element orders and their 2-adic
+valuations, and the x2, x4 and odd-part maps are computed at the indices
+asked about.  The group's index tables (_tables) hold one table over all its
+elements, the power-class ids (and the class member lists once read), and
+per power class its least member, its element order (both found with the
+ids), the exact class-sum matrix of its characters and what the transfer
+conditions read, each built on first use in the narrowest integer type that
+holds it.  The ids take O(|G|) memory, so the tables and set building refuse
+groups of more than MAX_ORDER elements; the facts take no cap, and the maps
+at given indices are exact at any order: the place-value columns are int64,
+or Python ints once |G| passes 2^31.  MAX_ORDER is the one size budget:
+_check_cap reads it before |G|, |G|^2 or 2^classes of work.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 MAX_ORDER = 1 << 22
 # Bound of every per-group cache: above the 496 groups of order <= 128 that
 # a research sweep cycles through, so such a sweep never recomputes.
-GROUP_CACHE_SIZE = 512
+_GROUP_CACHE_SIZE = 512
 
 
 class GroupMismatchError(ValueError):
@@ -77,9 +81,10 @@ class AbelianGroup:
     # groups key every per-group cache, so the hash is computed once
     _hash: int = field(init=False, repr=False)
     # O(1) facts of the factors, capped by no order: whether the Sylow-2-subgroup is cyclic,
-    # the factors and place values of an index as read-only columns, and, if exactly one factor
-    # Z_n is even (else None), its even axis (position, n, place value p) and the indices
-    # n/2 p of the involution a and n/4 p, 3n/4 p of b, -b (b only if 4 | |G|)
+    # the factors and place values of an index as read-only columns (int64, or Python ints
+    # past |G| = 2^31), and, if exactly one factor Z_n is even (else None), its even axis
+    # (position, n, place value p) and the indices n/2 p of the involution a and n/4 p,
+    # 3n/4 p of b, -b (b only if 4 | |G|)
     _sylow2_cyclic: bool = field(init=False, repr=False)
     _radix: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     _even_axis: tuple[int, int, int] | None = field(init=False, repr=False)
@@ -111,7 +116,10 @@ class AbelianGroup:
         object.__setattr__(self, "_sylow2_cyclic", len(evens) <= 1)
         # a place value is the product of the later factors, in Python ints: no int64 wraps here
         places = list(itertools.accumulate(factors[:0:-1], operator.mul, initial=1))[::-1]
-        radix = tuple(_frozen(np.array(column)[:, None]) for column in (factors, places))
+        # a coordinate times a scalar reduced modulo |G| is below |G|^2: int64 holds it up to
+        # |G| = 2^31, and past that the columns are Python ints, exact at any size
+        dtype = object if order > 1 << 31 else np.int64
+        radix = tuple(_frozen(np.array(column, dtype)[:, None]) for column in (factors, places))
         object.__setattr__(self, "_radix", radix)
         axis = transfer = None
         if len(evens) == 1:
@@ -160,12 +168,11 @@ class AbelianGroup:
         if len(raw) != len(factors):
             raise ValueError(f"expected {len(factors)} coordinates for {self}, got {len(raw)}")
         try:
-            reduced = tuple(map(operator.mod, map(operator.index, raw), factors))
+            return _reduced(self, map(operator.index, raw))
         except TypeError:
             for position, value in enumerate(raw):
                 _coordinate(self, position, value)
             raise
-        return _element(self, reduced)
 
     def elements(self) -> Iterator[GroupElement]:
         """All elements in canonical (lexicographic coordinate) order."""
@@ -187,11 +194,8 @@ class AbelianGroup:
             raise ValueError(f"an element index must be an integer, got {index!r}") from None
         if not 0 <= index < self.order:
             raise IndexError(f"element index {index} out of range for {self}")
-        coords = []
-        for n in reversed(self.factors):
-            index, c = divmod(index, n)
-            coords.append(c)
-        return _element(self, tuple(reversed(coords)))
+        coords = _coordinate_rows(self, np.array(index, self._radix[1].dtype))
+        return _element(self, tuple(coords.tolist()))
 
 
 @dataclass(frozen=True)
@@ -226,31 +230,21 @@ class GroupElement:
         if not isinstance(other, GroupElement):
             return NotImplemented
         _require_bound(self.group, other)
-        return _element(
-            self.group,
-            tuple((a + b) % n for a, b, n in zip(self.coords, other.coords, self.group.factors)),
-        )
+        return _reduced(self.group, map(operator.add, self.coords, other.coords))
 
     def __sub__(self, other: GroupElement) -> GroupElement:
         if not isinstance(other, GroupElement):
             return NotImplemented
         _require_bound(self.group, other)
-        return _element(
-            self.group,
-            tuple((a - b) % n for a, b, n in zip(self.coords, other.coords, self.group.factors)),
-        )
+        return _reduced(self.group, map(operator.sub, self.coords, other.coords))
 
     def __neg__(self) -> GroupElement:
-        return _element(
-            self.group, tuple((-c) % n for c, n in zip(self.coords, self.group.factors))
-        )
+        return _reduced(self.group, map(operator.neg, self.coords))
 
     def __mul__(self, k: int) -> GroupElement:
         if not isinstance(k, int):
             return NotImplemented
-        return _element(
-            self.group, tuple((k * c) % n for c, n in zip(self.coords, self.group.factors))
-        )
+        return _reduced(self.group, (k * c for c in self.coords))
 
     __rmul__ = __mul__
 
@@ -279,6 +273,11 @@ def _element(group: AbelianGroup, coords: tuple[int, ...]) -> GroupElement:
     state["group"] = group
     state["coords"] = coords
     return g
+
+
+def _reduced(group: AbelianGroup, coords: Iterable[int]) -> GroupElement:
+    """An element from integer coordinates, each reduced modulo its factor; checks nothing else."""
+    return _element(group, tuple(map(operator.mod, coords, group.factors)))
 
 
 def _require_bound(group: AbelianGroup, g: GroupElement) -> None:
@@ -411,7 +410,7 @@ def _unit_generators(n: int) -> list[tuple[int, int]]:
 def _multiples(group: AbelianGroup, k: int, indices: np.ndarray) -> np.ndarray:
     """Canonical indices of k*g for the elements g with these canonical indices."""
     factors, places = group._radix
-    # each factor divides |G|: reduce k so that no product leaves int64
+    # each factor divides |G|: reduce k so that no product leaves the columns' type (_radix)
     return places.ravel() @ (indices // places * (k % group.order) % factors)
 
 
@@ -445,7 +444,8 @@ def _orders(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
 def _valuations(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
     """2-adic valuations of the orders of the elements with these canonical indices."""
     orders = _orders(group, indices)
-    return np.log2(orders & -orders).astype(np.intp)
+    # a power of two and its log2 are exact in float64, whichever integer type held it
+    return np.log2((orders & -orders).astype(np.float64)).astype(np.intp)
 
 
 def _coordinate_rows(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
@@ -584,11 +584,10 @@ class _IndexTables:
         in the narrowest signed type that holds +-|G| (int8 up to 127 elements);
         every product casts S to float64 or complex128, so it is exact.
         """
-        (factors, places), reps = self.group._radix, self.class_reps
-        coords, m = reps // places % factors, self.class_order
+        rows, m = _coordinate_rows(self.group, self.class_reps), self.class_order
         # m * r_K is the identity, so each m * r_K,i / n_i is an integer
-        scaled = coords * m // factors
-        s = (coords.T @ scaled) % m
+        scaled = rows.T * m // self.group._radix[0]
+        s = (rows @ scaled) % m
         # m and m/gcd(m, s) divide the exponent: look their functions up among its divisors
         divisors, mu, phi = _divisor_functions(math.lcm(*self.group.factors))
         q = np.searchsorted(divisors, m // np.gcd(m, s))
@@ -602,7 +601,7 @@ class _IndexTables:
         return tuple(np.split(by_class, np.cumsum(self.class_size)[:-1]))
 
 
-@lru_cache(maxsize=GROUP_CACHE_SIZE)
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def _tables(group: AbelianGroup) -> _IndexTables:
     check_order(group)
     return _IndexTables(group)
@@ -610,8 +609,7 @@ def _tables(group: AbelianGroup) -> _IndexTables:
 
 def _elements_at(group: AbelianGroup, indices: np.ndarray) -> list[GroupElement]:
     """The elements with these canonical indices, in the same order."""
-    coords = np.unravel_index(indices, group.factors)
-    return [_element(group, c) for c in zip(*(row.tolist() for row in coords))]
+    return [_element(group, tuple(row)) for row in _coordinate_rows(group, indices).tolist()]
 
 
 def _sorted_indices(group: AbelianGroup, elements: Iterable[GroupElement]) -> np.ndarray:
@@ -901,13 +899,13 @@ class Subgroup4m:
             raise ValueError(f"{g!r} is not in the order-4m subgroup")
         coords = list(g.coords)
         coords[self.even_index] //= self.scale
-        return GroupElement(self.group, tuple(coords))
+        return _element(self.group, tuple(coords))
 
     def from_subgroup(self, g: GroupElement) -> GroupElement:
         _require_bound(self.group, g)
         coords = list(g.coords)
         coords[self.even_index] *= self.scale
-        return GroupElement(self.parent, tuple(coords))
+        return _element(self.parent, tuple(coords))
 
 
 def subgroup_4m(group: AbelianGroup) -> Subgroup4m:
@@ -941,7 +939,7 @@ def _parse_integer(text: str) -> int:
     return int(text)
 
 
-@lru_cache(maxsize=GROUP_CACHE_SIZE)
+@lru_cache(maxsize=_GROUP_CACHE_SIZE)
 def parse_group(text: str) -> AbelianGroup:
     """Parse a group written as Z<n> factors joined by 'x', e.g. 'Z4xZ3xZ3'.
 

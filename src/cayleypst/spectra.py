@@ -35,7 +35,7 @@ from .groups import (
     check_square,
 )
 
-INTEGRALITY_TOL = 1e-7
+_INTEGRALITY_TOL = 1e-7
 # Most power classes for the exact class-sum product, which keeps its matrix
 # no larger than 256 x 256; groups with more classes use the FFT.
 MAX_CLASSES = 256
@@ -118,7 +118,7 @@ def _sums(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray:
 
     A power-closed set has one sum per dual power class, S @ mask rounded; a
     census candidate arrives with it, from one product over its block, and a
-    sum that rounding moves by more than INTEGRALITY_TOL is a numeric fault:
+    sum that rounding moves by more than _INTEGRALITY_TOL is a numeric fault:
     RuntimeError.  Any other set has one sum per character, an owned copy of
     the FFT's real part: C is inverse-closed, so the rest is round-off.
     """
@@ -131,7 +131,7 @@ def _sums(group: AbelianGroup, connection_set: ConnectionSet) -> np.ndarray:
             product = _class_transform(group, mask)
             sums = np.rint(product.real)
             residual = np.abs(product - sums)
-            if residual.max() > INTEGRALITY_TOL:
+            if residual.max() > _INTEGRALITY_TOL:
                 worst = int(np.argmax(residual))
                 raise RuntimeError(
                     f"internal error: character sum {complex(product[worst])} of a power-closed "
@@ -214,18 +214,17 @@ def integral_spectrum(group: AbelianGroup, connection_set: ConnectionSet) -> Spe
     classes, so its spectrum is all zeros.  A set that is not
     power-closed raises NonIntegralSpectrumError naming the first character
     in canonical order whose sum, by the FFT, is off an integer by more than
-    INTEGRALITY_TOL.
+    _INTEGRALITY_TOL.
     """
     _require_bound_set(group, connection_set)
     sums = _sums(group, connection_set)
     if _class_mask(connection_set) is not None:
         return Spectrum._from_classes(group, sums.astype(np.int64))
     residual = np.abs(sums - np.rint(sums))
-    off = residual > INTEGRALITY_TOL
+    off = residual > _INTEGRALITY_TOL
     # some sum is not an integer; should rounding hide all of them, name the farthest
     first = int(np.argmax(off) if off.any() else np.argmax(residual))
-    index = tuple(int(c) for c in np.unravel_index(first, group.factors))
-    raise NonIntegralSpectrumError(index, complex(sums[first]))
+    raise NonIntegralSpectrumError(group.element_at(first).coords, complex(sums[first]))
 
 
 def delta(spectrum: Spectrum) -> int | None:

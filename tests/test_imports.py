@@ -1,4 +1,4 @@
-"""Source hygiene: every module reads each name it imports, and one rule raises every size cap."""
+"""Source hygiene: each module reads its imports, one rule raises every cap, one map unravels."""
 
 import ast
 from pathlib import Path
@@ -75,3 +75,15 @@ def test_one_rule_raises_every_size_cap():
                 readers.add(path.stem)
     assert raises == ["groups"]
     assert readers == {"groups"}
+
+
+def test_one_map_turns_indices_into_coordinates():
+    # groups._coordinate_rows is the package's one index-to-coordinate map; numpy's
+    # unravel_index is left to the tests, as the independent oracle of it
+    readers = set()
+    for path in sorted(Path(cayleypst.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                if named(node) == "unravel_index":
+                    readers.add(path.stem)
+    assert readers == set()

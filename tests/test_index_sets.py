@@ -598,17 +598,82 @@ def test_transfer_indices_are_the_transfer_elements():
         check_transfer_elements(AbelianGroup(factors))
 
 
+def python_coordinates(factors, index):
+    """Test-only oracle: the coordinates of a canonical index, by divmod in Python ints."""
+    coords = []
+    for n in reversed(factors):
+        index, c = divmod(index, n)
+        coords.append(c)
+    return coords[::-1]
+
+
+def python_index(factors, coords):
+    """Test-only oracle: the canonical index of coordinates, in Python ints."""
+    index = 0
+    for n, c in zip(factors, coords):
+        index = index * n + c
+    return index
+
+
 def test_the_index_maps_answer_past_the_cap():
-    # the maps at given indices read the group's facts, and only the index tables take the cap
-    g = AbelianGroup((1 << 40,))
-    indices = np.array([1, 6, 3 << 20, 5 << 37, (1 << 40) - 1])
-    for k in (2, 3, 4):
-        assert groups._multiples(g, k, indices).tolist() == [k * i % g.order for i in indices.tolist()]
-    # valuations of the orders, read off each element's own Python-int order
-    expected = [two_part(g.element_at(i).order)[0] for i in indices.tolist()]
-    assert groups._valuations(g, indices).tolist() == expected == [40, 39, 20, 3, 40]
-    with pytest.raises(CapExceededError, match=f"above the cap of {MAX_ORDER}"):
-        _tables(g)
+    # the maps at given indices read the group's facts, and only the index tables take the cap;
+    # on Z3^30 and Z847288609443 (3^25) a coordinate times a scalar passes int64, and on
+    # Z2^40 the wrap of int64 would cancel, since 2^40 divides 2^64
+    for factors in [(1 << 40,), (3**30,), (1 << 20, 3**25)]:
+        g = AbelianGroup(factors)
+        picked = [1, 6, 3 << 20, 5 << 37, g.order - 1, g.order // 2, g.order // 3]
+        indices, coords = np.array(picked), [python_coordinates(factors, i) for i in picked]
+        assert groups._coordinate_rows(g, indices).tolist() == coords
+        assert [list(g.element_at(i).coords) for i in picked] == coords
+        for k in (-1, 2, 3, 4, 5, 10**20):
+            multiples = [[k * c % n for c, n in zip(row, factors)] for row in coords]
+            expected = [python_index(factors, row) for row in multiples]
+            assert groups._multiples(g, k, indices).tolist() == expected
+        # the orders and their valuations, from each element's coordinates in Python ints
+        orders = [math.lcm(*(n // math.gcd(n, c) for c, n in zip(row, factors))) for row in coords]
+        valuations = [two_part(order)[0] for order in orders]
+        assert groups._orders(g, indices).tolist() == orders
+        assert groups._valuations(g, indices).tolist() == valuations
+        assert factors != (1 << 40,) or valuations[:5] == [40, 39, 20, 3, 40]
+        with pytest.raises(CapExceededError, match=f"above the cap of {MAX_ORDER}"):
+            _tables(g)
+    # place values past int64: the group builds, and element_at and index_of are inverse
+    g = AbelianGroup((1 << 30,) * 4)
+    for i in [0, 5, (1 << 63) - 1, 1 << 63, (1 << 64) + 5, (1 << 90) + 7, g.order - 1]:
+        x = g.element_at(i)
+        assert x.coords == tuple(python_coordinates(g.factors, i)) and g.index_of(x) == i
+
+
+def test_element_arithmetic_is_the_index_maps():
+    # +, -, unary - and *k reduce through groups._reduced; each against the index maps, with
+    # every element paired once with a random partner, on every factor list of order <= 64
+    rng = np.random.default_rng(64)
+    for factors in all_factor_lists(64):
+        g = AbelianGroup(factors)
+        everything = np.arange(g.order)
+        rows, elements = groups._coordinate_rows(g, everything), list(g.elements())
+        for i, j in zip(everything.tolist(), rng.permutation(g.order).tolist()):
+            x, y = elements[i], elements[j]
+            for result, summed in ((x + y, rows[i] + rows[j]), (x - y, rows[i] - rows[j])):
+                expected = groups._row_indices(g, np.mod(summed, factors)[None]).tolist()
+                assert [g.index_of(result)] == expected
+        negated = groups._multiples(g, -1, everything).tolist()
+        assert [g.index_of(-x) for x in elements] == negated
+        for k in (-1, 0, 2, 3, 5, g.order + 1, 10**20):
+            multiples = groups._multiples(g, k, everything).tolist()
+            assert [g.index_of(k * x) for x in elements] == multiples
+            assert [g.index_of(x * k) for x in elements] == multiples
+
+
+def test_elements_at_are_the_rows_of_numpy_unravelling():
+    # numpy's unravel_index is the independent oracle of groups._coordinate_rows
+    for factors in all_factor_lists(64):
+        g = AbelianGroup(factors)
+        everything = np.arange(g.order)
+        unravelled = np.stack(np.unravel_index(everything, factors), axis=-1).tolist()
+        coords = [x.coords for x in groups._elements_at(g, everything)]
+        assert [list(c) for c in coords] == unravelled
+        assert all(type(c) is int for row in coords for c in row)
 
 
 def test_validation_and_the_member_maps_build_no_index_tables():

@@ -111,6 +111,14 @@ def test_integral_spectrum_rejects_non_power_closed():
     z12 = group("Z12")
     with pytest.raises(NonIntegralSpectrumError):
         integral_spectrum(z12, cset(z12, [(1,), (11,)]))
+    # the witness is the first sum more than 1e-7 off an integer, not the first irrational one:
+    # the sums 2 cos(2 pi j / 65536) of characters 1 to 3 are irrational but within 1e-7 of 2
+    z65536 = group("Z65536")
+    gaps = [2 - 2 * math.cos(2 * math.pi * j / 65536) for j in range(1, 5)]
+    assert all(0 < gap < 1e-7 for gap in gaps[:3]) and gaps[3] > 1e-7
+    with pytest.raises(NonIntegralSpectrumError) as err:
+        integral_spectrum(z65536, cset(z65536, [(1,), (65535,)]))
+    assert err.value.index == (4,)
 
 
 def test_degree_is_trivial_eigenvalue_and_maximum():
@@ -222,7 +230,7 @@ def test_fft_integral_spectrum_matches_table_route(spec, monkeypatch):
     table = character_table(g)
     expected = np.rint((table @ _indicator(g, closed)).real).astype(int).tolist()
     sums = table @ _indicator(g, split)
-    witness = int(np.argmax(np.abs(sums - np.rint(sums.real)) > spectra.INTEGRALITY_TOL))
+    witness = int(np.argmax(np.abs(sums - np.rint(sums.real)) > spectra._INTEGRALITY_TOL))
     class_route = integral_spectrum(g, closed)
     # with no class-space route, every set takes the FFT
     monkeypatch.setattr(spectra, "MAX_CLASSES", 0)
@@ -321,7 +329,7 @@ def test_integrality_is_decided_by_power_closure(monkeypatch):
     z5 = group("Z5")
     split = cset(z5, [(1,), (4,)])
     # no tolerance, however loose, makes a set that is not power-closed integral
-    monkeypatch.setattr(spectra, "INTEGRALITY_TOL", 0.9)
+    monkeypatch.setattr(spectra, "_INTEGRALITY_TOL", 0.9)
     with pytest.raises(NonIntegralSpectrumError):
         integral_spectrum(z5, split)
     monkeypatch.undo()
