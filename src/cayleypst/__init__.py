@@ -14,21 +14,12 @@ from .groups import (
     ConnectionSet,
     GroupElement,
     GroupMismatchError,
-    Subgroup4m,
-    element_order,
     is_power_closed,
     list_power_classes,
-    order_four_pair,
     parse_connection_set,
     parse_element,
     parse_group,
-    partition_by_two_part,
-    power_class,
-    power_class_key,
-    scalar_multiple_set,
-    subgroup_4m,
     sylow2_cyclic,
-    two_part,
     unique_involution,
 )
 from .pst import (

@@ -26,6 +26,7 @@ from .groups import (
     AbelianGroup,
     ConnectionSet,
     _coordinate_rows,
+    _row_index,
     _tables,
     check_order,
     parse_connection_set,
@@ -203,15 +204,13 @@ def _cmd_classes(args, group: AbelianGroup) -> tuple[dict, int]:
 
 def _edges(group: AbelianGroup, cset: ConnectionSet) -> np.ndarray:
     """Pairs g < h of canonical vertex indices with h - g in C, one row each, sorted; O(|G| * |C|)."""
-    # coordinate i of g + c, for g over the factor shape and c along a last axis
-    members = _coordinate_rows(group, cset.indices).T
-    sums = [
-        np.arange(n).reshape((1,) * i + (n,) + (1,) * (group.rank - i)) + c
-        for i, (n, c) in enumerate(zip(group.factors, members))
-    ]
-    neighbours = np.ravel_multi_index(sums, group.factors, mode="wrap").reshape(group.order, -1)
+    everything, factors = np.arange(group.order), group._radix[0][:, 0]
+    neighbours = np.empty((group.order, len(cset)), dtype=np.intp)
+    # per member c, the reduced coordinates of g + c for every g: no |G| x |C| x rank array
+    for column, member in zip(neighbours.T, _coordinate_rows(group, cset.indices)):
+        column[...] = _row_index(group, (_coordinate_rows(group, everything) + member) % factors)
     neighbours.sort(axis=1)
-    sources, slots = np.nonzero(neighbours > np.arange(group.order)[:, None])
+    sources, slots = np.nonzero(neighbours > everything[:, None])
     return np.stack((sources, neighbours[sources, slots]), axis=-1)
 
 

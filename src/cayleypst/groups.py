@@ -8,10 +8,11 @@ All values are immutable and safe to share.
 Each element also has a canonical index: the mixed-radix number of its
 coordinates, so index order is lexicographic coordinate order.  One codec
 turns integers into coordinates: _reduced reduces integer coordinates modulo
-the factors for every element operator, and _coordinate_rows is the one map
-from indices to coordinates.  A ConnectionSet is held as the sorted array of
-its members' indices, and the set algebra (validation, power-closure,
-valuation buckets, scalar multiples) runs on numpy index arrays.  A group
+the factors for every element operator, _coordinate_rows is the one map from
+indices to coordinates, and _row_index the one map back.  A ConnectionSet is
+held as the sorted array of its members' indices, and the set algebra
+(validation, power-closure, valuation buckets, scalar multiples) runs on
+numpy index arrays.  A group
 holds the O(1) facts of its factors, computed with it: whether its
 Sylow-2-subgroup is cyclic, the place values of an index, its even factor
 Z_n when it has just one (the even axis), and the indices of a, b and -b on
@@ -57,14 +58,6 @@ class CapExceededError(ValueError):
     """A size cap was exceeded."""
 
 
-def two_part(n: int) -> tuple[int, int]:
-    """Split a positive integer as 2**k * m with m odd, returning (k, m)."""
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
-    k = (n & -n).bit_length() - 1
-    return k, n >> k
-
-
 @dataclass(frozen=True, eq=False)
 class AbelianGroup:
     """Product of cyclic groups Z_n1 x ... x Z_nr, in the order written.
@@ -105,10 +98,10 @@ class AbelianGroup:
             raise ValueError(f"cyclic factor orders must be >= 2, got {bad}")
         object.__setattr__(self, "factors", factors)
         order = math.prod(factors)
-        d, m = two_part(order)
+        d = (order & -order).bit_length() - 1
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", order >> d)
         object.__setattr__(self, "_hash", hash(factors))
         # set here, not on first read: an attribute added later (as functools.cached_property
         # adds one) moves a group's attributes into a dict, and every later read is slower
@@ -181,10 +174,7 @@ class AbelianGroup:
     def index_of(self, g: GroupElement) -> int:
         """Position of g in the canonical element order (its mixed-radix value)."""
         _require_bound(self, g)
-        index = 0
-        for c, n in zip(g.coords, self.factors):
-            index = index * n + c
-        return index
+        return int(_row_index(self, np.array(g.coords)))
 
     def element_at(self, index: int) -> GroupElement:
         """The element with this canonical index; a float or a string raises ValueError."""
@@ -317,12 +307,6 @@ def _canonical_elements(group: AbelianGroup) -> Iterator[GroupElement]:
     )
 
 
-def element_order(group: AbelianGroup, g: GroupElement) -> int:
-    """Least positive k with k*g = identity (lcm of coordinate orders)."""
-    _require_bound(group, g)
-    return g.order
-
-
 def sylow2_cyclic(group: AbelianGroup) -> bool:
     """True iff at most one factor is even, i.e. the Sylow-2-subgroup is cyclic."""
     return group._sylow2_cyclic
@@ -333,17 +317,6 @@ def unique_involution(group: AbelianGroup) -> GroupElement:
     if group._transfer_indices is None:
         raise ValueError(f"{group} has no unique element of order two")
     return group.element_at(group._transfer_indices[0])
-
-
-def order_four_pair(group: AbelianGroup) -> tuple[GroupElement, GroupElement]:
-    """The inverse pair of order-four elements, smaller coordinate first.
-
-    Exists exactly when the Sylow-2-subgroup is cyclic of order >= 4.
-    """
-    if group._transfer_indices is None or group.d < 2:
-        raise ValueError(f"{group} has no unique pair of elements of order four")
-    _, b, b_inv = group._transfer_indices
-    return group.element_at(b), group.element_at(b_inv)
 
 
 def _odd_component_multiplier(group: AbelianGroup) -> int:
@@ -411,7 +384,7 @@ def _multiples(group: AbelianGroup, k: int, indices: np.ndarray) -> np.ndarray:
     """Canonical indices of k*g for the elements g with these canonical indices."""
     factors, places = group._radix
     # each factor divides |G|: reduce k so that no product leaves the columns' type (_radix)
-    return places.ravel() @ (indices // places * (k % group.order) % factors)
+    return _row_index(group, (indices // places * (k % group.order) % factors).T)
 
 
 def _multiple_table(group: AbelianGroup, k: int, dtype=np.intp) -> np.ndarray:
@@ -456,6 +429,11 @@ def _coordinate_rows(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
     factors, places = group._radix
     rows = indices[..., None] // places.ravel()
     return np.remainder(rows, factors.ravel(), out=rows)
+
+
+def _row_index(group: AbelianGroup, rows: np.ndarray) -> np.ndarray:
+    """Canonical indices of coordinates along the last axis, reduced modulo the factors."""
+    return rows @ group._radix[1][:, 0]
 
 
 def _picker(ids: list[int]):
@@ -625,35 +603,9 @@ def _sorted_indices(group: AbelianGroup, elements: Iterable[GroupElement]) -> np
 
 def _row_indices(group: AbelianGroup, rows: np.ndarray) -> np.ndarray:
     """Sorted distinct canonical indices of coordinate rows already reduced modulo the factors."""
-    indices = np.ravel_multi_index(tuple(rows.T), group.factors)
+    indices = _row_index(group, rows)
     # Python's set and sort beat np.unique on the few dozen members of a typical set
     return np.array(sorted(set(indices.tolist())), dtype=np.intp)
-
-
-def _index_set(elements) -> tuple[AbelianGroup | None, np.ndarray]:
-    """Group and sorted member indices of a ConnectionSet or an iterable of elements.
-
-    The group is None for an empty iterable, which has no group to read.
-    """
-    if isinstance(elements, ConnectionSet):
-        return elements.group, elements.indices
-    elems = list(elements)
-    if not elems:
-        return None, np.empty(0, dtype=np.intp)
-    group = elems[0].group
-    return group, _sorted_indices(group, elems)
-
-
-def power_class(group: AbelianGroup, g: GroupElement) -> frozenset[GroupElement]:
-    """All generators of the cyclic subgroup generated by g."""
-    tables = _tables(group)
-    members = tables.class_members[tables.class_id[group.index_of(g)]]
-    return frozenset(_elements_at(group, members))
-
-
-def power_class_key(cls: Iterable[GroupElement]) -> tuple[int, ...]:
-    """Canonical key of a power class: its lexicographically smallest member."""
-    return min(g.coords for g in cls)
 
 
 def list_power_classes(group: AbelianGroup) -> list[frozenset[GroupElement]]:
@@ -661,17 +613,9 @@ def list_power_classes(group: AbelianGroup) -> list[frozenset[GroupElement]]:
     return [frozenset(_elements_at(group, members)) for members in _tables(group).class_members]
 
 
-def is_power_closed(connection_set) -> bool:
-    """True iff the set is a union of power classes.
-
-    Accepts a ConnectionSet or any iterable of elements, so sets that are not
-    inverse-closed can still be classified.  A ConnectionSet answers from
-    its kept class mask (_class_mask).
-    """
-    if isinstance(connection_set, ConnectionSet):
-        return _class_mask(connection_set) is not None
-    group, indices = _index_set(connection_set)
-    return group is None or _union_mask(group, indices) is not None
+def is_power_closed(connection_set: ConnectionSet) -> bool:
+    """True iff the set is a union of power classes; answered from its kept class mask."""
+    return _class_mask(connection_set) is not None
 
 
 def _union_mask(group: AbelianGroup, indices: np.ndarray) -> np.ndarray | None:
@@ -693,36 +637,6 @@ def _class_mask(connection_set: ConnectionSet) -> np.ndarray | None:
         mask = _union_mask(connection_set.group, connection_set.indices)
         object.__setattr__(connection_set, "_class_mask", False if mask is None else mask)
     return None if mask is False else mask
-
-
-def partition_by_two_part(connection_set) -> dict[int, frozenset[GroupElement]]:
-    """Split a set by the 2-adic valuation of element order.
-
-    Bucket k holds the elements of order 2**k * odd.  Only nonempty buckets
-    appear, with keys in increasing order.
-    """
-    group, indices = _index_set(connection_set)
-    if group is None:
-        return {}
-    valuation = _valuations(group, indices)
-    return {
-        int(k): frozenset(_elements_at(group, indices[valuation == k]))
-        for k in np.unique(valuation)
-    }
-
-
-def scalar_multiple_set(k: int, elements) -> frozenset[GroupElement]:
-    """Elementwise scalar multiple {k*g}; collisions merge."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"scalar k must be an integer, got {k!r}") from None
-    if k < 1:
-        raise ValueError(f"scalar must be a positive integer, got {k}")
-    group, indices = _index_set(elements)
-    if group is None:
-        return frozenset()
-    return frozenset(_elements_at(group, np.unique(_multiples(group, k, indices))))
 
 
 class ConnectionSet:
@@ -869,54 +783,6 @@ class ConnectionSet:
     def __repr__(self) -> str:
         coords = [g.coords for g in self.sorted_elements()]
         return f"ConnectionSet({coords}@{self.group})"
-
-
-@dataclass(frozen=True)
-class Subgroup4m:
-    """The subgroup of elements whose order divides 4m, with its relabeling.
-
-    The surviving coordinates of the even factor are divided by 2**(d-2), so
-    the induced group replaces that factor 2**d * u by 4u; the other factors
-    are untouched.  `to_subgroup` and `from_subgroup` are mutually inverse.
-    `elements`, the members in the parent group, is built on first read.
-    """
-
-    parent: AbelianGroup
-    group: AbelianGroup
-    even_index: int
-    scale: int
-
-    @cached_property
-    def elements(self) -> frozenset[GroupElement]:
-        return frozenset(map(self.from_subgroup, self.group.elements()))
-
-    def __contains__(self, g: GroupElement) -> bool:
-        return g.group == self.parent and not g.coords[self.even_index] % self.scale
-
-    def to_subgroup(self, g: GroupElement) -> GroupElement:
-        _require_bound(self.parent, g)
-        if g.coords[self.even_index] % self.scale:
-            raise ValueError(f"{g!r} is not in the order-4m subgroup")
-        coords = list(g.coords)
-        coords[self.even_index] //= self.scale
-        return _element(self.group, tuple(coords))
-
-    def from_subgroup(self, g: GroupElement) -> GroupElement:
-        _require_bound(self.group, g)
-        coords = list(g.coords)
-        coords[self.even_index] *= self.scale
-        return _element(self.parent, tuple(coords))
-
-
-def subgroup_4m(group: AbelianGroup) -> Subgroup4m:
-    """Embedding of the unique subgroup of order 4m (requires d >= 2)."""
-    if group._transfer_indices is None or group.d < 2:
-        raise ValueError(f"{group} has no subgroup of order 4m with m odd and d >= 2")
-    j = group._even_axis[0]
-    scale = 1 << (group.d - 2)
-    sub_factors = list(group.factors)
-    sub_factors[j] //= scale
-    return Subgroup4m(group, AbelianGroup(tuple(sub_factors)), j, scale)
 
 
 _FACTOR_RE = re.compile(r"[Zz]([0-9]+)")

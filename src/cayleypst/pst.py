@@ -29,7 +29,6 @@ from .groups import (
     _valuations,
     check_order,
     is_power_closed,
-    subgroup_4m,
     unique_involution,
 )
 from .spectra import delta, integral_spectrum
@@ -241,14 +240,19 @@ def reduce_to_4m(
     elements of valuation at most 2).
     """
     _require_bound_set(group, connection_set)
-    embedding = subgroup_4m(group)
-    place, scale = group._even_axis[2], embedding.scale
+    if group._even_axis is None or group.d < 2:
+        raise ValueError(f"{group} has no subgroup of order 4m with m odd and d >= 2")
+    # the elements of order dividing 4m are those whose even coordinate is a multiple of
+    # scale = 2**(d-2); divided by scale, it is a coordinate of Z_{n/scale} in place of Z_n
+    j, n, place = group._even_axis
+    scale = 1 << (group.d - 2)
+    subgroup = AbelianGroup(group.factors[:j] + (n // scale,) + group.factors[j + 1 :])
     # an index is low + place * high with low < place; high, whose last place is the
     # even coordinate, is a multiple of scale exactly on a member, and high / scale relabels it
     high, low = np.divmod(connection_set.indices, place)
     member = high % scale == 0
     kept = high[member] // scale * place + low[member]
-    return embedding.group, ConnectionSet._from_indices(embedding.group, kept)
+    return subgroup, ConnectionSet._from_indices(subgroup, kept)
 
 
 def character_criterion(group: AbelianGroup, connection_set: ConnectionSet) -> bool:

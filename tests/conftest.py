@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from cayleypst import (
+    AbelianGroup,
     ConnectionSet,
     GroupMismatchError,
     integral_spectrum,
+    list_power_classes,
     parse_group,
-    power_class,
-    two_part,
     unique_involution,
 )
 
@@ -31,6 +31,22 @@ def cset(g, coords_list):
     return ConnectionSet.from_elements(g, [g.element(c) for c in coords_list])
 
 
+def two_part(n):
+    """Split a positive integer as 2**k * m with m odd, returning (k, m), by halving."""
+    if n < 1:
+        raise ValueError(f"expected a positive integer, got {n}")
+    k = 0
+    while n % 2 == 0:
+        n //= 2
+        k += 1
+    return k, n
+
+
+def class_of(g, x):
+    """The power class of list_power_classes that holds x."""
+    return next(cls for cls in list_power_classes(g) if x in cls)
+
+
 def z433_transfer_sets():
     """Two 36-vertex reference sets known to admit transfer from 0 to (2,0,0).
 
@@ -43,7 +59,7 @@ def z433_transfer_sets():
     a = g.element((2, 0, 0))
     g1 = g.element((0, 1, 0))
     g2 = g.element((0, 0, 1))
-    base = power_class(g, g1) | power_class(g, g2)
+    base = class_of(g, g1) | class_of(g, g2)
     shifted_a = frozenset(a + h for h in base)
     shifted_b = frozenset(b + h for h in base) | frozenset(-b + h for h in base)
     with_a = ConnectionSet(g, base | shifted_a | shifted_b | {a})
@@ -58,8 +74,6 @@ def z433_sets():
 
 def class_unions(g, include_empty=True):
     """Every union of non-identity power classes, as ConnectionSets."""
-    from cayleypst import list_power_classes
-
     identity = g.identity
     classes = [cls for cls in list_power_classes(g) if identity not in cls]
     start = 0 if include_empty else 1
@@ -73,8 +87,6 @@ def class_unions(g, include_empty=True):
 
 def random_class_union(g, rng):
     """A union of non-identity power classes, each kept with probability 1/2."""
-    from cayleypst import list_power_classes
-
     identity = g.identity
     members = set()
     for cls in list_power_classes(g):
@@ -128,6 +140,28 @@ def brute_power_classes(g):
         if x != g.identity:
             by_subgroup.setdefault(brute_cyclic_subgroup(g, x), set()).add(x)
     return [frozenset(cls) for cls in by_subgroup.values()]
+
+
+def brute_subgroup_4m(g):
+    """The subgroup of order 4m (d >= 2, one even factor), relabelled, from its definition.
+
+    Its members are the elements whose order divides 4m, found by
+    brute_element_order.  Each is relabelled by dividing its coordinate on the
+    even factor Z_n by 2**(d-2), as an element of the group with Z_n/2**(d-2)
+    in place of Z_n.  Returns that group and the map from members to labels.
+    """
+    (j,) = [i for i, n in enumerate(g.factors) if n % 2 == 0]
+    scale = 2 ** (g.d - 2)
+    factors = list(g.factors)
+    factors[j] //= scale
+    sub = AbelianGroup(tuple(factors))
+    relabel = {}
+    for x in g.elements():
+        if 4 * g.m % brute_element_order(g, x) == 0:
+            coords = list(x.coords)
+            coords[j] //= scale
+            relabel[x] = sub.element(coords)
+    return sub, relabel
 
 
 # the four conditions for d >= 2, the facts of parity_report and those of check_4m_conditions,

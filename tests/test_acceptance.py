@@ -31,10 +31,9 @@ from cayleypst import (
     reduce_to_4m,
     transition_amplitude,
     transition_matrix,
-    two_part,
     unique_involution,
 )
-from conftest import class_unions, inverse_closed_subsets, z433_transfer_sets
+from conftest import class_unions, inverse_closed_subsets, two_part, z433_transfer_sets
 
 HALF_PI = math.pi / 2
 

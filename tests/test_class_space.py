@@ -259,7 +259,7 @@ def near_transfer_set(g, rng, with_a, with_b):
     is toggled.  The pieces come from element arithmetic, not from the tables.
     """
     a = groups.unique_involution(g)
-    b, b_inv = groups.order_four_pair(g)
+    b, b_inv = map(g.element_at, g._transfer_indices[1:])
     classes = [cls for cls in list_power_classes(g) if g.identity not in cls]
     valuation = {cls: two_part(brute_element_order(g, next(iter(cls))))[0] for cls in classes}
     members = set()
@@ -298,7 +298,7 @@ def test_per_class_tables_hold_for_every_member():
                 tables.condition_pickers
             continue
         a, b, core, fourfold, twofold = tables.condition_pickers
-        pair = sorted(g.index_of(x) for x in groups.order_four_pair(g))
+        pair = sorted(g._transfer_indices[1:])
         assert tables.class_members[a].tolist() == [g.index_of(groups.unique_involution(g))]
         assert tables.class_members[b].tolist() == pair
         # the pickers read a list of class ids at the core classes and at their images

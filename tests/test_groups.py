@@ -14,30 +14,49 @@ from cayleypst import (
     ConnectionSet,
     GroupElement,
     GroupMismatchError,
-    element_order,
+    check_4m_conditions,
     is_power_closed,
     list_power_classes,
-    order_four_pair,
     parse_connection_set,
     parse_element,
     parse_group,
-    partition_by_two_part,
-    power_class,
-    power_class_key,
-    scalar_multiple_set,
-    subgroup_4m,
+    reduce_to_4m,
     sylow2_cyclic,
-    two_part,
     unique_involution,
 )
+from cayleypst.groups import _multiples, _valuations
 from conftest import (
     brute_cyclic_subgroup,
     brute_element_order,
+    brute_subgroup_4m,
+    class_of,
     class_unions,
     cset,
     elem,
     group,
+    two_part,
 )
+
+
+def order_four_pair(g):
+    """The order-four pair b, -b, read off the group's transfer indices."""
+    return [g.element_at(i) for i in g._transfer_indices[1:]]
+
+
+def two_part_buckets(c):
+    """The members of a set by the 2-adic valuation of their order, through groups._valuations."""
+    valuation = _valuations(c.group, c.indices)
+    return {
+        int(k): {c.group.element_at(i) for i in c.indices[valuation == k].tolist()}
+        for k in np.unique(valuation)
+    }
+
+
+def multiple_set(k, elements):
+    """The set {k*g} of elements of one group, through groups._multiples at their indices."""
+    g = next(iter(elements)).group
+    indices = np.array([g.index_of(x) for x in elements])
+    return {g.element_at(i) for i in _multiples(g, k, indices).tolist()}
 
 
 def test_parse_group_examples():
@@ -81,18 +100,21 @@ def test_group_reads_each_factor_as_an_integer():
 
 
 def test_two_part_examples():
-    assert two_part(12) == (2, 3)
-    assert two_part(1) == (0, 1)
-    assert two_part(8) == (3, 1)
+    # a group keeps its order as 2**d * m with m odd
+    assert (group("Z12").d, group("Z12").m) == (2, 3)
+    assert (group("Z3").d, group("Z3").m) == (0, 3)
+    assert (group("Z8").d, group("Z8").m) == (3, 1)
+    assert (group("Z4xZ6").d, group("Z4xZ6").m) == (3, 3)
 
 
 def test_two_part_reconstructs():
-    for n in range(1, 300):
-        k, m = two_part(n)
-        assert m % 2 == 1
-        assert (1 << k) * m == n
+    for n in range(2, 301):
+        g = AbelianGroup((n,))
+        assert g.m % 2 == 1
+        assert (1 << g.d) * g.m == n
+        assert (g.d, g.m) == two_part(n)
     with pytest.raises(ValueError):
-        two_part(0)
+        AbelianGroup((0,))
 
 
 def test_element_construction_reduces_and_validates():
@@ -178,22 +200,22 @@ def test_cross_group_arithmetic_is_an_error():
     with pytest.raises(GroupMismatchError):
         x + y
     with pytest.raises(GroupMismatchError):
-        element_order(group("Z2"), x)
+        group("Z2").index_of(x)
 
 
 def test_element_order_examples():
     g = group("Z4xZ3xZ3")
-    assert element_order(g, g.identity) == 1
-    assert element_order(g, elem(g, 1, 0, 0)) == 4
-    assert element_order(g, elem(g, 2, 1, 0)) == 6
+    assert g.identity.order == 1
+    assert elem(g, 1, 0, 0).order == 4
+    assert elem(g, 2, 1, 0).order == 6
 
 
 @pytest.mark.parametrize("spec", ["Z12", "Z4xZ3", "Z2xZ9", "Z8"])
 def test_element_order_matches_repeated_addition(spec):
     g = group(spec)
     for x in g.elements():
-        assert element_order(g, x) == brute_element_order(g, x)
-        assert g.order % element_order(g, x) == 0
+        assert x.order == brute_element_order(g, x)
+        assert g.order % x.order == 0
 
 
 def test_sylow2_cyclic_examples():
@@ -212,7 +234,7 @@ def test_unique_involution_examples():
 @pytest.mark.parametrize("spec", ["Z2", "Z6", "Z12", "Z8xZ3", "Z2xZ9"])
 def test_unique_involution_is_the_only_order_two_element(spec):
     g = group(spec)
-    involutions = [x for x in g.elements() if element_order(g, x) == 2]
+    involutions = [x for x in g.elements() if x.order == 2]
     assert involutions == [unique_involution(g)]
 
 
@@ -235,7 +257,7 @@ def test_order_four_pair_is_the_only_order_four_pair(spec):
     g = group(spec)
     b, b_inv = order_four_pair(g)
     assert b_inv == -b
-    order_four = {x for x in g.elements() if element_order(g, x) == 4}
+    order_four = {x for x in g.elements() if brute_element_order(g, x) == 4}
     assert order_four == {b, b_inv}
     # structural relations: 2b = a and 2a = 0
     a = unique_involution(g)
@@ -244,33 +266,37 @@ def test_order_four_pair_is_the_only_order_four_pair(spec):
 
 
 def test_order_four_pair_preconditions():
-    with pytest.raises(ValueError):
-        order_four_pair(group("Z6"))
-    with pytest.raises(ValueError):
-        order_four_pair(group("Z2xZ4"))
+    # Z6 has no element of order four, and Z2xZ4 two pairs; the group keeps no pair for
+    # either, and the order-4m decisions, which read b, refuse both
+    for spec in ("Z6", "Z2xZ4"):
+        g = group(spec)
+        assert len([x for x in g.elements() if x.order == 4]) != 2
+        assert g._transfer_indices is None or g.d < 2
+        with pytest.raises(ValueError):
+            check_4m_conditions(g, cset(g, []))
 
 
 def test_power_class_examples():
     z8 = group("Z8")
-    assert {x.coords[0] for x in power_class(z8, elem(z8, 1))} == {1, 3, 5, 7}
+    assert {x.coords[0] for x in class_of(z8, elem(z8, 1))} == {1, 3, 5, 7}
     g = group("Z4xZ3xZ3")
-    assert power_class(g, g.identity) == frozenset({g.identity})
+    assert class_of(g, g.identity) == frozenset({g.identity})
     z12 = group("Z12")
-    assert {x.coords[0] for x in power_class(z12, elem(z12, 2))} == {2, 10}
+    assert {x.coords[0] for x in class_of(z12, elem(z12, 2))} == {2, 10}
 
 
 @pytest.mark.parametrize("spec", ["Z12", "Z8", "Z9", "Z4xZ3"])
 def test_power_class_matches_subgroup_equality(spec):
     g = group(spec)
     for x in g.elements():
-        mine = power_class(g, x)
+        mine = class_of(g, x)
         sub = brute_cyclic_subgroup(g, x)
         brute = {y for y in g.elements() if brute_cyclic_subgroup(g, y) == sub}
         assert mine == brute
         # inverse-closed, uniform order, contains its element
         assert x in mine
         assert {-y for y in mine} == mine
-        assert {element_order(g, y) for y in mine} == {element_order(g, x)}
+        assert {y.order for y in mine} == {x.order}
 
 
 def test_list_power_classes_z12_frozen():
@@ -299,7 +325,7 @@ def test_list_power_classes_partitions(spec):
     assert total == g.order
     assert union == set(g.elements())
     # sorted by (member order, key)
-    keys = [(element_order(g, next(iter(cls))), power_class_key(cls)) for cls in classes]
+    keys = [(next(iter(cls)).order, min(x.coords for x in cls)) for cls in classes]
     assert keys == sorted(keys)
 
 
@@ -308,34 +334,34 @@ def test_is_power_closed():
     assert is_power_closed(cset(z8, [(1,), (3,), (5,), (7,)]))
     assert is_power_closed(cset(z8, []))
     z12 = group("Z12")
-    # raw sets need not be inverse-closed
-    assert not is_power_closed({elem(z12, 2)})
-    assert is_power_closed({elem(z12, 2), elem(z12, 10)})
+    # {1, 11} is inverse-closed, but 5 and 7 generate the same subgroup as 1
+    assert not is_power_closed(cset(z12, [(1,), (11,)]))
+    assert is_power_closed(cset(z12, [(2,), (10,)]))
 
 
 def test_partition_by_two_part(z433_sets):
     g, with_a, with_b = z433_sets
-    assert {k: len(v) for k, v in partition_by_two_part(with_a).items()} == {0: 4, 1: 5, 2: 8}
-    assert {k: len(v) for k, v in partition_by_two_part(with_b).items()} == {0: 4, 1: 4, 2: 10}
-    assert unique_involution(g) in partition_by_two_part(with_a)[1]
+    assert {k: len(v) for k, v in two_part_buckets(with_a).items()} == {0: 4, 1: 5, 2: 8}
+    assert {k: len(v) for k, v in two_part_buckets(with_b).items()} == {0: 4, 1: 4, 2: 10}
+    assert unique_involution(g) in two_part_buckets(with_a)[1]
     b, b_inv = order_four_pair(g)
-    assert {b, b_inv} <= partition_by_two_part(with_b)[2]
+    assert {b, b_inv} <= two_part_buckets(with_b)[2]
 
 
 def test_partition_by_two_part_odd_group_and_z8():
     z9 = group("Z3xZ3")
     c = cset(z9, [(1, 0), (2, 0), (0, 1), (0, 2)])
-    assert list(partition_by_two_part(c)) == [0]
+    assert list(two_part_buckets(c)) == [0]
     z8 = group("Z8")
     odd = cset(z8, [(1,), (3,), (5,), (7,)])
-    assert list(partition_by_two_part(odd)) == [3]
+    assert list(two_part_buckets(odd)) == [3]
 
 
 @pytest.mark.parametrize("spec", ["Z12", "Z8xZ3"])
 def test_partition_by_two_part_covers_disjointly(spec):
     g = group(spec)
     for c in class_unions(g):
-        buckets = partition_by_two_part(c)
+        buckets = two_part_buckets(c)
         seen = set()
         for k, part in buckets.items():
             assert part
@@ -343,84 +369,88 @@ def test_partition_by_two_part_covers_disjointly(spec):
             seen.update(part)
             assert {-x for x in part} == set(part)
             for x in part:
-                assert two_part(element_order(g, x))[0] == k
+                assert two_part(brute_element_order(g, x))[0] == k
         assert seen == set(c.elements)
 
 
 def test_scalar_multiple_set_examples():
     g = group("Z4xZ3xZ3")
     s = {elem(g, 1, 1, 0), elem(g, 3, 2, 0)}
-    assert scalar_multiple_set(1, s) == frozenset(s)
-    assert scalar_multiple_set(4, s) == {elem(g, 0, 1, 0), elem(g, 0, 2, 0)}
+    assert multiple_set(1, s) == s
+    assert multiple_set(4, s) == {elem(g, 0, 1, 0), elem(g, 0, 2, 0)}
     z6 = group("Z6")
-    assert scalar_multiple_set(2, {elem(z6, 3)}) == {z6.identity}
-    with pytest.raises(ValueError):
-        scalar_multiple_set(0, s)
-    # True is 1; a float or a string is refused, not truncated or failed on deep in numpy
-    assert scalar_multiple_set(True, s) == frozenset(s)
-    for k in (2.5, "3"):
-        with pytest.raises(ValueError, match=f"scalar k must be an integer, got {k!r}"):
-            scalar_multiple_set(k, s)
+    assert multiple_set(2, {elem(z6, 3)}) == {z6.identity}
+    # k is read modulo |G|, so 0 and -1 are multiples too
+    assert multiple_set(0, s) == {g.identity}
+    assert multiple_set(-1, s) == {-x for x in s}
 
 
 @pytest.mark.parametrize("spec,k", [("Z9", 2), ("Z9", 4), ("Z3xZ3", 2), ("Z15", 4)])
 def test_power_class_commutes_with_odd_scalars(spec, k):
     g = group(spec)
     for x in g.elements():
-        assert power_class(g, k * x) == scalar_multiple_set(k, power_class(g, x))
+        assert class_of(g, k * x) == multiple_set(k, class_of(g, x))
+
+
+def reduced_everything(g):
+    """reduce_to_4m of the set of every non-identity element: the subgroup and its members."""
+    everything = ConnectionSet(g, frozenset(g.elements()) - {g.identity})
+    sub, reduced = reduce_to_4m(g, everything)
+    return sub, set(reduced.elements) | {sub.identity}
 
 
 def test_subgroup_4m_identity_case():
     g = group("Z4xZ3xZ3")
-    emb = subgroup_4m(g)
-    assert emb.group == g
-    assert emb.elements == set(g.elements())
+    sub, members = reduced_everything(g)
+    assert sub == g
+    assert members == set(g.elements())
+    _, relabel = brute_subgroup_4m(g)
     x = elem(g, 3, 1, 2)
-    assert emb.to_subgroup(x).coords == x.coords
+    assert relabel[x].coords == x.coords
 
 
 def test_subgroup_4m_z8xz3():
     g = group("Z8xZ3")
-    emb = subgroup_4m(g)
-    assert emb.group.factors == (4, 3)
-    assert len(emb.elements) == 12
-    assert {x.coords[0] for x in emb.elements} == {0, 2, 4, 6}
-    assert emb.to_subgroup(elem(g, 6, 2)).coords == (3, 2)
-    with pytest.raises(ValueError):
-        emb.to_subgroup(elem(g, 1, 0))
+    sub, members = reduced_everything(g)
+    assert sub.factors == (4, 3)
+    assert len(members) == 12
+    _, relabel = brute_subgroup_4m(g)
+    assert {x.coords[0] for x in relabel} == {0, 2, 4, 6}
+    assert relabel[elem(g, 6, 2)].coords == (3, 2)
+    assert elem(g, 1, 0) not in relabel
 
 
 def test_subgroup_4m_z16():
     g = group("Z16")
-    emb = subgroup_4m(g)
-    assert emb.group.factors == (4,)
-    assert {x.coords[0] for x in emb.elements} == {0, 4, 8, 12}
+    sub, members = reduced_everything(g)
+    assert sub.factors == (4,)
+    assert {x.coords[0] for x in members} == {0, 1, 2, 3}
+    assert {x.coords[0] for x in brute_subgroup_4m(g)[1]} == {0, 4, 8, 12}
 
 
 @pytest.mark.parametrize("spec", ["Z8xZ3", "Z16", "Z32", "Z16xZ3", "Z24", "Z3xZ16xZ5"])
 def test_subgroup_4m_structure(spec):
     g = group(spec)
-    emb = subgroup_4m(g)
-    assert len(emb.elements) == 4 * g.m
-    assert emb.group.order == 4 * g.m
-    assert emb.group.d == 2
-    # membership rule: order divides 4m
-    members = {x for x in g.elements() if (4 * g.m) % element_order(g, x) == 0}
-    assert members == set(emb.elements)
-    assert {x for x in g.elements() if x in emb} == members
-    # relabeling round-trips and is a homomorphism
-    sub_elems = sorted(emb.elements, key=lambda x: x.coords)
-    for x in sub_elems[:12]:
-        assert emb.from_subgroup(emb.to_subgroup(x)) == x
-        for y in sub_elems[:12]:
-            assert emb.to_subgroup(x + y) == emb.to_subgroup(x) + emb.to_subgroup(y)
+    sub, relabel = brute_subgroup_4m(g)
+    assert len(relabel) == 4 * g.m
+    assert sub.order == 4 * g.m
+    assert sub.d == 2
+    # reduce_to_4m keeps the members, those of order dividing 4m, and relabels them like the oracle
+    assert reduced_everything(g) == (sub, set(relabel.values()))
+    # the relabelling is one to one and a homomorphism
+    assert len(set(relabel.values())) == len(relabel)
+    members = sorted(relabel, key=lambda x: x.coords)
+    for x in members[:12]:
+        for y in members[:12]:
+            assert relabel[x + y] == relabel[x] + relabel[y]
 
 
 def test_subgroup_4m_preconditions():
-    with pytest.raises(ValueError):
-        subgroup_4m(group("Z6"))
-    with pytest.raises(ValueError):
-        subgroup_4m(group("Z2xZ4"))
+    for spec in ("Z6", "Z2xZ4", "Z3"):
+        g = group(spec)
+        message = f"{g} has no subgroup of order 4m with m odd and d >= 2"
+        with pytest.raises(ValueError, match=message):
+            reduce_to_4m(g, cset(g, []))
 
 
 def test_connection_set_validation():

@@ -1,9 +1,13 @@
-"""Source hygiene: each module reads its imports, one rule raises every cap, one map unravels."""
+"""Source hygiene: imports, the cap rule, the index maps, and the names README and perfbench read."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import cayleypst
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # perfbench/tracer.py requires these two sites, so their modules import them unread
 TRACER_SITES = {"cli.dumps", "walk.character_table"}
@@ -77,13 +81,76 @@ def test_one_rule_raises_every_size_cap():
     assert readers == {"groups"}
 
 
-def test_one_map_turns_indices_into_coordinates():
-    # groups._coordinate_rows is the package's one index-to-coordinate map; numpy's
-    # unravel_index is left to the tests, as the independent oracle of it
+def readers_of(name):
+    """The package modules that read or import `name`."""
     readers = set()
     for path in sorted(Path(cayleypst.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
-                if named(node) == "unravel_index":
-                    readers.add(path.stem)
-    assert readers == set()
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and named(node) == name:
+                readers.add(path.stem)
+    return readers
+
+
+def test_one_map_turns_indices_into_coordinates():
+    # groups._coordinate_rows is the package's one index-to-coordinate map; numpy's
+    # unravel_index is left to the tests, as the independent oracle of it
+    assert readers_of("unravel_index") == set()
+
+
+def test_one_map_turns_coordinates_into_indices():
+    # groups._row_index is the one map back, exact past int64, where ravel_multi_index refuses
+    assert readers_of("ravel_multi_index") == set()
+
+
+def test_the_readme_names_every_public_name():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [name for name in cayleypst.__all__ if f"`{name}`" not in readme] == []
+
+
+def load_perfbench(name):
+    """A perfbench module, loaded from its file without running anything but its imports."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def benchmark_names():
+    """Every package name the benchmark reads, as (module, attribute, wrapped by the tracer).
+
+    The tracer's required sites, the members of its families, the functions
+    layer_metrics times (by their `<layer>.<name>_s` metrics, bar each layer's
+    self time and the family names), and the attributes the sweep worker reads
+    of the groups, pst, spectra and walk modules, found in its source.
+    """
+    tracer = load_perfbench("tracer")
+    for site in tracer.REQUIRED_SITES:
+        module, _, attr = site.rpartition(".")
+        yield module, attr, True
+    not_functions = {f"{layer}.self" for layer in tracer.LAYERS} | set(tracer.FAMILIES.values())
+    timed = {name[: -len("_s")] for name in tracer.layer_metrics({}) if name.endswith("_s")}
+    for function in sorted(set(tracer.FAMILIES) | timed - not_functions):
+        layer, _, attr = function.partition(".")
+        yield f"cayleypst.{layer}", attr, True
+    worker = ast.parse((ROOT / "perfbench" / "sweep_worker.py").read_text(encoding="utf-8"))
+    for node in ast.walk(worker):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in ("groups", "pst", "spectra", "walk"):
+                yield f"cayleypst.{node.value.id}", node.attr, False
+
+
+def test_every_name_the_benchmark_reads_is_public():
+    # a timed name that is gone reads 0 in the benchmark, and a required site that is gone
+    # fails only there; each must be a public callable, class or number of its module
+    names = sorted(set(benchmark_names()))
+    assert ("cayleypst.pst", "is_power_closed", True) in names
+    assert ("cayleypst.walk", "dense_expm", False) in names
+    layers = {f"cayleypst.{layer}" for layer in load_perfbench("tracer").LAYERS}
+    for module, attr, timed in names:
+        value = getattr(importlib.import_module(module), attr, None)
+        assert not attr.startswith("_") and value is not None, (module, attr)
+        if timed:
+            # the tracer wraps only the callables a layer module defines, and no class
+            assert not isinstance(value, type) and value.__module__ in layers, (module, attr)
+        else:
+            assert callable(value) or isinstance(value, float), (module, attr)

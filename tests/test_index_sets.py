@@ -22,9 +22,6 @@ from cayleypst import (
     integral_spectrum,
     is_power_closed,
     list_power_classes,
-    partition_by_two_part,
-    scalar_multiple_set,
-    two_part,
 )
 from cayleypst import cli, groups, jsonio, pst, spectra, walk
 from cayleypst.groups import MAX_ORDER, _primitive_root, _tables, _unit_generators
@@ -36,6 +33,7 @@ from conftest import (
     elem,
     frozenset_connection_set,
     group,
+    two_part,
 )
 
 
@@ -76,42 +74,50 @@ def test_enumerate_matches_element_oracle_on_census_groups():
         assert coords_of(found) == coords_of(brute_transfer_sets(g)), spec
 
 
+def sorted_indices(g, subset):
+    return np.array(sorted(map(g.index_of, subset)), dtype=np.intp)
+
+
 @settings(max_examples=60, deadline=None)
 @given(group_and_subset())
 def test_is_power_closed_matches_definition(case):
     g, subset = case
-    expected = all(
-        {y for y in g.elements() if brute_cyclic_subgroup(g, y) == brute_cyclic_subgroup(g, x)}
-        <= subset
-        for x in subset
-    )
-    assert is_power_closed(subset) is expected
+    generated = {y: brute_cyclic_subgroup(g, y) for y in g.elements()}
+
+    def power_closed(members):
+        return all({y for y in generated if generated[y] == generated[x]} <= members for x in members)
+
+    # any subset through the class mask that is_power_closed reads, and a set's inverse closure
+    assert (groups._union_mask(g, sorted_indices(g, subset)) is not None) is power_closed(subset)
+    closure = frozenset(subset | {-x for x in subset}) - {g.identity}
+    assert is_power_closed(ConnectionSet(g, closure)) is power_closed(closure)
 
 
 @settings(max_examples=60, deadline=None)
 @given(group_and_subset())
 def test_partition_by_two_part_matches_definition(case):
     g, subset = case
-    expected = {}
-    for x in subset:
-        expected.setdefault(two_part(brute_element_order(g, x))[0], set()).add(x)
-    buckets = partition_by_two_part(subset)
-    assert list(buckets) == sorted(expected)
-    assert buckets == {k: frozenset(v) for k, v in expected.items()}
-    assert all(type(v) is frozenset for v in buckets.values())
+    indices = sorted_indices(g, subset)
+    expected = [two_part(brute_element_order(g, g.element_at(i)))[0] for i in indices.tolist()]
+    valuations = groups._valuations(g, indices)
+    assert valuations.tolist() == expected and valuations.dtype == np.intp
 
 
 @settings(max_examples=60, deadline=None)
-@given(group_and_subset(), st.one_of(st.integers(1, 40), st.integers(10**20, 10**30)))
+@given(
+    group_and_subset(),
+    st.one_of(st.integers(1, 40), st.integers(10**20, 10**30), st.sampled_from([-1, 10**20])),
+)
 def test_scalar_multiple_set_matches_definition(case, k):
     g, subset = case
-    expected = set()
-    for x in subset:
+    indices = sorted_indices(g, subset)
+    expected = []
+    for x in map(g.element_at, indices.tolist()):
         acc = g.identity
         for _ in range(k % math.lcm(*g.factors)):
             acc = acc + x
-        expected.add(acc)
-    assert scalar_multiple_set(k, subset) == expected
+        expected.append(g.index_of(acc))
+    assert groups._multiples(g, k, indices).tolist() == expected
 
 
 coordinate_values = st.one_of(
@@ -228,9 +234,12 @@ def test_connection_set_routes_agree_on_inverse_closures(case):
     assert c.elements == closed
     assert [x.coords for x in c] == sorted(x.coords for x in closed)
     assert c.indices.tolist() == sorted(g.index_of(x) for x in closed)
-    assert is_power_closed(c) == is_power_closed(closed)
-    assert partition_by_two_part(c) == partition_by_two_part(closed)
-    assert scalar_multiple_set(3, c) == scalar_multiple_set(3, closed)
+    # power-closure, the valuations and the multiples at the set's indices, element by element
+    classes = brute_power_classes(g)
+    assert is_power_closed(c) == all(cls <= closed or cls.isdisjoint(closed) for cls in classes)
+    valuations = [two_part(brute_element_order(g, x))[0] for x in c]
+    assert groups._valuations(g, c.indices).tolist() == valuations
+    assert groups._multiples(g, 3, c.indices).tolist() == [g.index_of(3 * x) for x in c]
 
 
 @settings(max_examples=40, deadline=None)
@@ -566,11 +575,11 @@ def check_transfer_elements(g):
     for x in map(g.element, killed_by_4):
         by_order.get(x.order, []).append(x)
     involutions, order_four = by_order[2], by_order[4]
+    empty = ConnectionSet._from_indices(g, np.empty(0, dtype=np.intp))
     if len(order_four) != 2:
         # the subgroup of order 4m exists exactly when the order-four pair does
-        for needs_b in (groups.order_four_pair, groups.subgroup_4m):
-            with pytest.raises(ValueError):
-                needs_b(g)
+        with pytest.raises(ValueError, match="has no subgroup of order 4m"):
+            pst.reduce_to_4m(g, empty)
     if len(involutions) != 1:
         with pytest.raises(ValueError):
             groups.unique_involution(g)
@@ -585,9 +594,12 @@ def check_transfer_elements(g):
     assert indices[0] == g.index_of(involutions[0])
     if len(order_four) != 2:
         return
-    assert list(groups.order_four_pair(g)) == order_four
+    assert [g.element_at(i) for i in indices[1:]] == order_four
     assert list(indices[1:]) == [g.index_of(x) for x in order_four]
-    assert groups.subgroup_4m(g).even_index == j
+    # the subgroup of order 4m divides the even factor by 2**(d-2) and keeps the others
+    factors = list(g.factors)
+    factors[j] >>= g.d - 2
+    assert pst.reduce_to_4m(g, empty)[0].factors == tuple(factors)
 
 
 def test_transfer_indices_are_the_transfer_elements():
@@ -644,6 +656,29 @@ def test_the_index_maps_answer_past_the_cap():
         assert x.coords == tuple(python_coordinates(g.factors, i)) and g.index_of(x) == i
 
 
+def test_the_index_of_a_coordinate_row_round_trips():
+    # groups._row_index inverts groups._coordinate_rows on every factor list of order <= 64,
+    # on a list of rows and on pairs of them, shaped like the ends of exported edges
+    for factors in all_factor_lists(64):
+        g = AbelianGroup(factors)
+        everything = np.arange(g.order)
+        rows = groups._coordinate_rows(g, everything)
+        assert groups._row_index(g, rows).tolist() == everything.tolist()
+        pairs = np.stack((everything, everything[::-1]), axis=-1)
+        assert np.array_equal(groups._row_index(g, groups._coordinate_rows(g, pairs)), pairs)
+        assert all(g.index_of(x) == i for i, x in enumerate(g.elements()))
+    # past int64: (Z2^30)^4 has indices above 2^64, and the rows hold Python ints
+    for factors in [(3**30,), (3,) * 30, (1 << 20, 3**25), (2,) * 20 + (3,) * 25, (1 << 30,) * 4]:
+        g = AbelianGroup(factors)
+        picked = [0, 1, 5, g.order // 3, g.order // 2, g.order - 1]
+        if g.order > 1 << 64:
+            picked += [1 << 63, (1 << 64) + 5, (1 << 90) + 7]
+        rows = groups._coordinate_rows(g, np.array(picked, dtype=g._radix[1].dtype))
+        assert rows.tolist() == [python_coordinates(factors, i) for i in picked]
+        assert groups._row_index(g, rows).tolist() == picked
+        assert [g.index_of(g.element_at(i)) for i in picked] == picked
+
+
 def test_element_arithmetic_is_the_index_maps():
     # +, -, unary - and *k reduce through groups._reduced; each against the index maps, with
     # every element paired once with a random partner, on every factor list of order <= 64
@@ -681,8 +716,9 @@ def test_validation_and_the_member_maps_build_no_index_tables():
     g = group("Z4xZ3xZ7")
     c = ConnectionSet.from_coordinates(g, [[1, 0, 0], [3, 0, 0], [0, 1, 2], [0, 2, 5]])
     assert ConnectionSet(g, c.elements) == ConnectionSet.from_elements(g, c.elements) == c
-    assert sorted(partition_by_two_part(c)) == [0, 2]
-    assert scalar_multiple_set(2, c) == {elem(g, 2, 0, 0), elem(g, 0, 2, 4), elem(g, 0, 1, 3)}
+    assert sorted(set(groups._valuations(g, c.indices).tolist())) == [0, 2]
+    doubled = {elem(g, 2, 0, 0), elem(g, 0, 2, 4), elem(g, 0, 1, 3)}
+    assert set(groups._multiples(g, 2, c.indices).tolist()) == set(map(g.index_of, doubled))
     assert _tables.cache_info().misses == 0
 
 
