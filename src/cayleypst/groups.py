@@ -450,8 +450,8 @@ class _IndexTables:
     """Read-only numpy tables of one group, each built on first use.
 
     The one per-element table is `class_id`, the power class of every
-    element, and `class_members` lists the classes once something reads
-    them.  Everything else is per power class; the O(1) facts they read,
+    element; `class_members` lists the classes on each read and is not
+    kept.  Everything else is per power class; the O(1) facts they read,
     like the maps at given indices (_multiples, _orders), live on the group.
     """
 
@@ -572,9 +572,9 @@ class _IndexTables:
         sums = mu[q] * (phi[np.searchsorted(divisors, m)] // phi[q])
         return _frozen(sums.astype(np.min_scalar_type(-self.group.order - 1)))
 
-    @cached_property
+    @property
     def class_members(self) -> tuple[np.ndarray, ...]:
-        """Sorted member indices of each power class: the stable argsort of class_id, split."""
+        """Sorted member indices of each power class, built per read: class_id's stable argsort, split."""
         by_class = _frozen(np.argsort(self.class_id, kind="stable"))
         return tuple(np.split(by_class, np.cumsum(self.class_size)[:-1]))
 
@@ -750,10 +750,10 @@ class ConnectionSet:
 
     @property
     def elements(self) -> frozenset[GroupElement]:
-        return frozenset(self.sorted_elements())
+        return frozenset(_elements_at(self.group, self.indices))
 
     def __iter__(self) -> Iterator[GroupElement]:
-        return iter(self.sorted_elements())
+        return iter(_elements_at(self.group, self.indices))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -777,11 +777,8 @@ class ConnectionSet:
     def __hash__(self) -> int:
         return hash((self.group, self.indices.tobytes(), self.loops_allowed))
 
-    def sorted_elements(self) -> list[GroupElement]:
-        return _elements_at(self.group, self.indices)
-
     def __repr__(self) -> str:
-        coords = [g.coords for g in self.sorted_elements()]
+        coords = [g.coords for g in _elements_at(self.group, self.indices)]
         return f"ConnectionSet({coords}@{self.group})"
 
 

@@ -77,6 +77,8 @@ class PstReport:
     time_value: float | None
     conditions: dict[str, bool]
     diagnostics: tuple[str, ...]
+    # the conditions dict is unhashable, so hash() names this class instead of dict
+    __hash__ = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -292,10 +294,6 @@ class ParityReport:
     c2_even: bool
     c1_odd_iff_a: bool
     c2_div4_iff_no_b: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return self.c0_even and self.c2_even and self.c1_odd_iff_a and self.c2_div4_iff_no_b
 
 
 def parity_report(group: AbelianGroup, connection_set: ConnectionSet) -> ParityReport:

@@ -186,21 +186,6 @@ class Spectrum:
         counts = np.bincount(which, weights=_tables(self.group).class_size).astype(np.int64)
         return dict(zip(distinct[::-1].tolist(), counts[::-1].tolist()))
 
-    @property
-    def distinct(self) -> tuple[int, ...]:
-        return tuple(self.eigenvalues)
-
-    @property
-    def max_eigenvalue(self) -> int:
-        return next(iter(self.eigenvalues))
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(self.eigenvalues.values())
-
-    def multiplicity(self, value: int) -> int:
-        return self.eigenvalues.get(value, 0)
-
     def to_json_dict(self) -> dict:
         return {"eigenvalues": [[value, mult] for value, mult in self.eigenvalues.items()]}
 

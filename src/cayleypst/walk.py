@@ -110,7 +110,7 @@ def _identity_row(group: AbelianGroup, connection_set: ConnectionSet, t: float) 
     return row if tables is None else row[tables.class_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """exp(i*t*A) for a translation graph, indexed in canonical vertex order."""
 

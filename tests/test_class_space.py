@@ -7,6 +7,7 @@ class scan against the row scan; the criterion against a character loop.
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,19 @@ def test_class_members_are_the_stable_argsort_of_the_ids(g):
     assert len(tables.class_members) == len(expected)
     for members, want in zip(tables.class_members, expected):
         assert members.tolist() == want.tolist()
+
+
+def test_a_listing_of_the_classes_is_not_kept():
+    # the cached tables keep class_id but not the listing, which is 2 MB of int64 here
+    tables = _tables(group("Z262144"))
+    tables.class_size
+    tracemalloc.start()
+    try:
+        tables.class_members
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 19
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import inspect
+import re
+from functools import cached_property
 from pathlib import Path
 
 import cayleypst
@@ -105,6 +108,38 @@ def test_one_map_turns_coordinates_into_indices():
 def test_the_readme_names_every_public_name():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert [name for name in cayleypst.__all__ if f"`{name}`" not in readme] == []
+
+
+def attributes_read(paths):
+    """The attribute names the modules at these paths read."""
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_public_member_is_read():
+    # a public method or property of an exported class stays if README names it in backticks,
+    # a package module other than its own reads it, or perfbench reads it; tests alone keep none
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = {text.rpartition(".")[2] for text in re.findall(r"`([^`\n]+)`", readme)}
+    package = sorted(Path(cayleypst.__file__).parent.glob("*.py"))
+    benchmark = attributes_read(sorted((ROOT / "perfbench").glob("*.py")))
+    kinds = (property, cached_property, classmethod, staticmethod)
+    unread = []
+    for name in cayleypst.__all__:
+        cls = getattr(cayleypst, name)
+        if not isinstance(cls, type):
+            continue
+        home = cls.__module__.rpartition(".")[2]
+        read = named | benchmark | attributes_read(p for p in package if p.stem != home)
+        for member, value in vars(cls).items():
+            routine = inspect.isfunction(value) or isinstance(value, kinds)
+            if routine and not member.startswith("_") and member not in read:
+                unread.append(f"{name}.{member}")
+    assert unread == []
 
 
 def load_perfbench(name):

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from cayleypst import jsonio
@@ -46,10 +46,10 @@ def test_rows_of_ints_keep_their_bytes():
 
 @st.composite
 def int_arrays(draw):
-    """Int arrays of n x r (or n x 2 x r, like exported edges) rows around the block size."""
-    r = draw(st.integers(1, 3))
-    inner = draw(st.sampled_from([(r,), (2, r)]))
-    block = jsonio._BLOCK_VALUES // int(np.prod(inner))
+    """n x r, n x 2 x r (like exported edges) or n x 0 x r int arrays around the block size."""
+    r = draw(st.integers(0, 3))
+    inner = draw(st.sampled_from([(r,), (2, r), (0, r)]))
+    block = jsonio._BLOCK_VALUES // max(1, int(np.prod(inner)))
     n = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 3 * block + 1]) | st.integers(0, 4 * block))
     seed = draw(st.integers(0, 2**32 - 1))
     dtype = draw(st.sampled_from([np.int64, np.int32, np.intp]))
@@ -61,6 +61,7 @@ def int_arrays(draw):
 # of tens of thousands of values takes minutes
 @settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(int_arrays(), st.integers(0, 2))
+@example(np.zeros((2, 0, 3), dtype=np.int64), 0)
 def test_int_arrays_render_like_their_lists_in_blocks(array, depth):
     document, listed = array, array.tolist()
     for _ in range(depth):

@@ -27,6 +27,7 @@ from cayleypst import (
     parity_report,
     reduce_to_4m,
     sylow2_cyclic,
+    transition_matrix,
     unique_involution,
 )
 import cayleypst.pst
@@ -129,6 +130,19 @@ def test_report_json_shape(z433_sets):
     assert doc["pair"] == [[0, 0, 0], [2, 0, 0]]
     assert doc["time"] == "pi/2"
     assert doc["time_value"] == pytest.approx(math.pi / 2)
+
+
+def test_result_types_compare_without_raising(z433_sets):
+    g, with_a, _ = z433_sets
+    report = characterize_pst(g, with_a)
+    assert report == characterize_pst(g, with_a)
+    # its conditions are a dict, so a report is unhashable, and says so by its own name
+    with pytest.raises(TypeError, match="unhashable type: 'PstReport'"):
+        hash(report)
+    # a transition matrix holds an array, so == and hash() go by identity
+    first, second = (transition_matrix(g, with_a, math.pi / 2) for _ in range(2))
+    assert first == first and (first == second) is False
+    assert hash(first) != hash(second)
 
 
 def test_check_4m_conditions(z433_sets):
@@ -241,11 +255,10 @@ def test_character_criterion_edge_cases():
 def test_parity_report_reference_sets(z433_sets):
     g, with_a, with_b = z433_sets
     for c in (with_a, with_b):
-        report = parity_report(g, c)
-        assert report.all_hold
+        assert all(dataclasses.astuple(parity_report(g, c)))
     z4 = group("Z4")
-    assert parity_report(z4, cset(z4, [(2,)])).all_hold
-    assert parity_report(z4, cset(z4, [(1,), (3,)])).all_hold
+    assert all(dataclasses.astuple(parity_report(z4, cset(z4, [(2,)]))))
+    assert all(dataclasses.astuple(parity_report(z4, cset(z4, [(1,), (3,)]))))
 
 
 def test_parity_report_preconditions():
